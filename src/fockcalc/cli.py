@@ -157,9 +157,9 @@ def cmd_class(args):
     if args.kind == "B":
         cls = generators.b_class(args.i, gamma, args.n)
     else:
-        cls = generators.g_class(args.i, gamma, args.n)
         if not 0 <= args.i < args.n:
             raise IndexError(f"need 0 <= i < n, got i={args.i}, n={args.n}")
+        cls = generators.g_class(args.i, gamma, args.n)
     text = fock.render_vector(cls.value)
     emit(args, {"kind": "class", "family": args.kind, "i": args.i,
                 "gamma": args.gamma, "n": args.n, "algebra": algebra.name,

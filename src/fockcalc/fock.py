@@ -8,11 +8,17 @@ repeated odd (size, color) pair kills the monomial.
 
 Weight of a monomial is the sum of part sizes (which Hilbert scheme it lives
 on); cohomological degree is sum(2*(size-1) + deg color).
+
+The operator workers share three helpers from here: axpy accumulates
+{mono: c} terms, extend makes a per-monomial image linear, and memo keeps
+those images in per-algebra tables that respect the weight cap.
 """
 
+import functools
 import itertools
 
 from ._rat import Rat, RAT_ONE
+from .class_algebra import partitions_of
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -44,30 +50,6 @@ def degree(mono, algebra):
 def sort_key(mono):
     """Graded-lex key: weight, then partition (large parts first), then colors."""
     return (weight(mono), tuple((-s, c) for s, c in mono))
-
-
-def canonical_from_parts(parts, algebra):
-    """Sort raw (size, color) parts into canonical order.
-
-    Returns (monomial, sign) or None when two identical odd parts collide.
-    The sign is the parity of crossings among odd-color parts.
-    """
-    parities = algebra.parities
-    odd_positions = [k for k, (s, c) in enumerate(parts) if parities[c]]
-    odd_parts = [parts[k] for k in odd_positions]
-    if len(set(odd_parts)) != len(odd_parts):
-        return None
-    order = sorted(range(len(parts)), key=lambda k: (-parts[k][0], parts[k][1], k))
-    # crossings among odd parts = inversions of their relative order
-    odd_rank = {k: r for r, k in enumerate(odd_positions)}
-    seq = [odd_rank[k] for k in order if k in odd_rank]
-    inversions = 0
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                inversions += 1
-    mono = tuple(parts[k] for k in order)
-    return mono, (-1 if inversions & 1 else 1)
 
 
 def prepend_part(mono, size, color, algebra):
@@ -139,6 +121,73 @@ def contract_into(acc, size, color, vec_terms, coeff, algebra):
                         acc.pop(new, None)
             if parities[cj]:
                 passed_odd += 1
+
+
+def axpy(acc, terms, scale=None):
+    """acc += scale * terms over {mono: c} dicts, dropping entries that cancel.
+
+    No multiply is made when scale is None.  Returns acc.
+    """
+    if scale is None:
+        for mono, c in terms.items():
+            val = acc.get(mono, 0) + c
+            if val:
+                acc[mono] = val
+            else:
+                acc.pop(mono, None)
+    else:
+        for mono, c in terms.items():
+            val = acc.get(mono, 0) + scale * c
+            if val:
+                acc[mono] = val
+            else:
+                acc.pop(mono, None)
+    return acc
+
+
+def memo(kind):
+    """Memoize a per-monomial worker fn(algebra, *key) in the algebra's table
+    `algebra._op_caches[kind]`.
+
+    An algebra's tables are emptied whenever the weight cap differs from the
+    one they were filled under, so a warm table raises TruncationExceeded
+    exactly where a cold one would.  Images are shared: callers must not
+    mutate them.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def worker(algebra, *key):
+            tables = algebra._op_caches
+            if algebra._op_caches_cap != _MAX_WEIGHT:
+                tables.clear()
+                algebra._op_caches_cap = _MAX_WEIGHT
+            table = tables.get(kind)
+            if table is None:
+                table = tables[kind] = {}
+            image = table.get(key)
+            if image is None:
+                image = table[key] = fn(algebra, *key)
+            return image
+
+        return worker
+
+    return decorate
+
+
+def extend(worker, algebra, keyed, terms):
+    """The linear extension of a per-monomial worker.
+
+    Sums coeff * c * worker(algebra, *key, mono) over (key, coeff) in `keyed`
+    and (mono, c) in `terms`; a coeff of None stands for 1.
+    """
+    acc = {}
+    for key, coeff in keyed:
+        for mono, c in terms.items():
+            image = worker(algebra, *key, mono)
+            if image:
+                axpy(acc, image, c if coeff is None else coeff * c)
+    return acc
 
 
 class FockVector:
@@ -281,23 +330,6 @@ def _no_odd_repeat(combo, parities):
 def _run_lengths(partition):
     for size, grp in itertools.groupby(partition):
         yield size, sum(1 for _ in grp)
-
-
-def partitions_of(n):
-    """Partitions of n as weakly decreasing tuples, in descending lex order."""
-    if n == 0:
-        return [()]
-    out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(n, n, [])
-    return out
 
 
 def inner_product(u, v):

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from . import fock
 from ._rat import Rat, RAT_ONE
 from .errors import DomainError, OracleMissing
-from .fock import FockVector
+from .fock import FockVector, axpy, extend, memo
 from .operators import (
     LinearOperator,
     Report,
+    _boundary_mono,
     q,
     supercommutator,
     zero_operator,
@@ -85,19 +86,10 @@ def q1_kth_bracket(k, alpha):
     algebra = alpha.algebra
     if alpha.is_zero():
         return zero_operator(algebra, 1, None)
-    items = tuple(alpha.coeffs.items())
+    keyed = tuple(((k, color), coeff) for color, coeff in alpha.coeffs.items())
 
     def fn(terms):
-        acc = {}
-        for color, coeff in items:
-            for mono, c in terms.items():
-                for m, cc in _q1k_mono(algebra, k, color, mono).items():
-                    val = acc.get(m, 0) + coeff * c * cc
-                    if val:
-                        acc[m] = val
-                    else:
-                        acc.pop(m, None)
-        return acc
+        return extend(_q1k_mono, algebra, keyed, terms)
 
     adeg = alpha.degree()
     degree = None if adeg is None else adeg + 2 * k
@@ -107,35 +99,17 @@ def q1_kth_bracket(k, alpha):
                           f"q_1^({k})({alpha!r})")
 
 
+@memo("q1k")
 def _q1k_mono(algebra, k, color, mono):
-    from .operators import _boundary_mono
-    cache = algebra._op_caches.setdefault("q1k", {})
-    key = (k, color, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     if k == 0:
         hit = fock.prepend_part(mono, 1, color, algebra)
-        out = {} if hit is None else {hit[0]: Rat(hit[1])}
-        cache[key] = out
-        return out
+        return {} if hit is None else {hit[0]: Rat(hit[1])}
     # [d, q_1^(k-1)](mono) = d(q1^(k-1) mono) - q1^(k-1)(d mono)
     acc = {}
     for m, c in _q1k_mono(algebra, k - 1, color, mono).items():
-        for m2, c2 in _boundary_mono(algebra, m).items():
-            val = acc.get(m2, 0) + c * c2
-            if val:
-                acc[m2] = val
-            else:
-                acc.pop(m2, None)
+        axpy(acc, _boundary_mono(algebra, m), c)
     for m, c in _boundary_mono(algebra, mono).items():
-        for m2, c2 in _q1k_mono(algebra, k - 1, color, m).items():
-            val = acc.get(m2, 0) - c * c2
-            if val:
-                acc[m2] = val
-            else:
-                acc.pop(m2, None)
-    cache[key] = acc
+        axpy(acc, _q1k_mono(algebra, k - 1, color, m), -c)
     return acc
 
 
@@ -151,48 +125,25 @@ def apply_formal_g(k, gamma, v):
         if any(s != 1 for s, _ in mono):
             raise DomainError(
                 "the formal G operator is only determined on the q_1 span")
-    inv_kfact = Rat(1, math.factorial(k))
-    acc = {}
-    for gcolor, gcoeff in gamma.coeffs.items():
-        for mono, c in v.terms.items():
-            for m, cc in _gk_mono(algebra, k, gcolor, mono, inv_kfact).items():
-                val = acc.get(m, 0) + gcoeff * c * cc
-                if val:
-                    acc[m] = val
-                else:
-                    acc.pop(m, None)
-    return FockVector(algebra, acc)
+    keyed = tuple(((k, gcolor), gcoeff) for gcolor, gcoeff in gamma.coeffs.items())
+    return FockVector(algebra, extend(_gk_mono, algebra, keyed, v.terms))
 
 
-def _gk_mono(algebra, k, gcolor, mono, inv_kfact):
-    cache = algebra._op_caches.setdefault("gk", {})
-    key = (k, gcolor, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+@memo("gk")
+def _gk_mono(algebra, k, gcolor, mono):
     if not mono:
-        cache[key] = {}
         return {}
     (_, bcolor), rest = mono[0], mono[1:]
     acc = {}
     # 1/k! q_1^(k)(gamma * b) applied to the rest
-    gb = algebra.mul_basis(gcolor, bcolor)
-    for pcolor, pcoeff in gb.items():
-        f = inv_kfact * pcoeff
-        for m, c in _q1k_mono(algebra, k, pcolor, rest).items():
-            val = acc.get(m, 0) + f * c
-            if val:
-                acc[m] = val
-            else:
-                acc.pop(m, None)
+    inv_kfact = Rat(1, math.factorial(k))
+    for pcolor, pcoeff in algebra.mul_basis(gcolor, bcolor).items():
+        axpy(acc, _q1k_mono(algebra, k, pcolor, rest), inv_kfact * pcoeff)
     # Koszul passthrough
     sign = -1 if (algebra.parities[gcolor] and algebra.parities[bcolor]) else 1
-    inner = _gk_mono(algebra, k, gcolor, rest, inv_kfact)
+    inner = _gk_mono(algebra, k, gcolor, rest)
     if inner:
-        sub = {m: (c if sign > 0 else -c) for m, c in inner.items()}
-        fock.create_into(acc, 1, bcolor, sub, RAT_ONE, algebra)
-    acc = {m: c for m, c in acc.items() if c}
-    cache[key] = acc
+        fock.create_into(acc, 1, bcolor, inner, Rat(sign), algebra)
     return acc
 
 

@@ -13,8 +13,10 @@ only materialize for adjoint computations.  Built here:
 
 plus the relation-verification suites and exact adjoint matrices.
 
-Applications of the Virasoro and boundary operators on basis data are
-memoized per algebra; the caches are pure and safe to share.
+Applications of the Virasoro and boundary operators on basis monomials are
+memoized in per-algebra tables (fock.memo).  The tables are pure and safe to
+share, and an algebra's tables are emptied when the weight cap changes, so a
+warm table raises TruncationExceeded exactly where a cold one would.
 """
 
 import time
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from . import _linalg, fock
 from ._rat import Rat, RAT_ONE
 from .errors import MixedDegree, SingularGram
-from .fock import FockVector, contract_into, create_into
+from .fock import FockVector, axpy, contract_into, create_into, extend, memo
 from .surface import integral, mul
 
 
@@ -67,14 +69,7 @@ class LinearOperator:
         parity = self.parity if self.parity == other.parity else None
 
         def fn(terms, a=self.fn, b=other.fn):
-            out = a(terms)
-            for m, c in b(terms).items():
-                val = out.get(m, 0) + c
-                if val:
-                    out[m] = val
-                else:
-                    out.pop(m, None)
-            return out
+            return axpy(a(terms), b(terms))
 
         return LinearOperator(self.algebra, fn, shift, degree, parity,
                               f"({self.name}+{other.name})")
@@ -133,15 +128,8 @@ def supercommutator(f, g):
         raise MixedDegree("supercommutator needs homogeneous parities")
     sign = -1 if (f.parity and g.parity) else 1
 
-    def fn(terms, a=f.fn, b=g.fn, sign=sign):
-        out = a(b(terms))
-        for m, c in b(a(terms)).items():
-            val = out.get(m, 0) - sign * c
-            if val:
-                out[m] = val
-            else:
-                out.pop(m, None)
-        return out
+    def fn(terms, a=f.fn, b=g.fn):
+        return axpy(a(b(terms)), b(a(terms)), -sign)
 
     shift = None if f.shift is None or g.shift is None else f.shift + g.shift
     degree = None if f.degree is None or g.degree is None else f.degree + g.degree
@@ -152,13 +140,10 @@ def supercommutator(f, g):
 # -- Heisenberg operators -----------------------------------------------------
 
 
-def _q_terms(algebra, n, color, terms, coeff=RAT_ONE):
-    acc = {}
-    if n > 0:
-        create_into(acc, n, color, terms, coeff, algebra)
-    elif n < 0:
-        contract_into(acc, -n, color, terms, coeff, algebra)
-    return acc
+def _q_kernel(n):
+    """The Fock kernel and part size of q_n, n != 0: creation for n > 0,
+    annihilation for n < 0."""
+    return (create_into, n) if n > 0 else (contract_into, -n)
 
 
 def q(n, alpha):
@@ -168,14 +153,12 @@ def q(n, alpha):
         deg = alpha.degree()
         return zero_operator(algebra, n, None if deg is None else 2 * (n - 1) + deg)
     items = tuple(alpha.coeffs.items())
+    kernel, size = _q_kernel(n)
 
     def fn(terms):
         acc = {}
         for color, coeff in items:
-            if n > 0:
-                create_into(acc, n, color, terms, coeff, algebra)
-            else:
-                contract_into(acc, -n, color, terms, coeff, algebra)
+            kernel(acc, size, color, terms, coeff, algebra)
         return acc
 
     adeg = alpha.degree()
@@ -188,13 +171,9 @@ def q(n, alpha):
 # -- Virasoro -----------------------------------------------------------------
 
 
+@memo("L")
 def _virasoro_mono(algebra, n, color, mono):
-    """L_n(e_color) applied to one monomial, memoized."""
-    cache = algebra._op_caches.setdefault("L", {})
-    key = (n, color, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    """L_n(e_color) applied to one monomial."""
     w = fock.weight(mono)
     terms = {mono: RAT_ONE}
     acc = {}
@@ -206,31 +185,15 @@ def _virasoro_mono(algebra, n, color, mono):
         window = [(m, n - m) for m in range(-w, n + w + 1) if m != 0 and m != n]
         half = True
     for m1, m2 in window:
+        outer, size1 = _q_kernel(m1)
+        inner_kernel, size2 = _q_kernel(m2)
         for u, v, t in triples:
-            inner = _q_terms(algebra, m2, v, terms, t)
-            if not inner:
-                continue
-            for mono2, c in _q_terms(algebra, m1, u, inner).items():
-                val = acc.get(mono2, 0) + c
-                if val:
-                    acc[mono2] = val
-                else:
-                    acc.pop(mono2, None)
+            inner = {}
+            inner_kernel(inner, size2, v, terms, t, algebra)
+            if inner:
+                outer(acc, size1, u, inner, RAT_ONE, algebra)
     if half:
         acc = {m: c / 2 for m, c in acc.items()}
-    cache[key] = acc
-    return acc
-
-
-def _apply_linear(algebra, terms, mono_fn):
-    acc = {}
-    for mono, coeff in terms.items():
-        for m, c in mono_fn(mono).items():
-            val = acc.get(m, 0) + coeff * c
-            if val:
-                acc[m] = val
-            else:
-                acc.pop(m, None)
     return acc
 
 
@@ -241,19 +204,10 @@ def virasoro(n, alpha):
     On a weight-w vector only the window -w <= m <= n + w contributes.
     """
     algebra = alpha.algebra
-    items = tuple(alpha.coeffs.items())
+    keyed = tuple(((n, color), coeff) for color, coeff in alpha.coeffs.items())
 
     def fn(terms):
-        acc = {}
-        for color, coeff in items:
-            for mono, c in terms.items():
-                for m, cc in _virasoro_mono(algebra, n, color, mono).items():
-                    val = acc.get(m, 0) + coeff * c * cc
-                    if val:
-                        acc[m] = val
-                    else:
-                        acc.pop(m, None)
-        return acc
+        return extend(_virasoro_mono, algebra, keyed, terms)
 
     adeg = alpha.degree()
     degree = None if adeg is None else 2 * n + adeg
@@ -265,20 +219,15 @@ def virasoro(n, alpha):
 # -- boundary operator and derivatives ---------------------------------------
 
 
+@memo("d")
 def _boundary_mono(algebra, mono):
     """d applied to one monomial, by recursion on the leading factor."""
-    cache = algebra._op_caches.setdefault("d", {})
-    hit = cache.get(mono)
-    if hit is not None:
-        return hit
     if not mono:
-        cache[mono] = {}
         return {}
     (size, color), rest = mono[0], mono[1:]
     rest_terms = {rest: RAT_ONE}
     # i * L_i(e_color) rest
-    acc = {m: size * c
-           for m, c in _virasoro_mono(algebra, size, color, rest).items()}
+    acc = axpy({}, _virasoro_mono(algebra, size, color, rest), size)
     # i(i-1)/2 * q_i(K * e_color) rest
     if size > 1:
         k_alpha = mul(algebra.canonical_class, algebra.basis_element(color))
@@ -287,8 +236,6 @@ def _boundary_mono(algebra, mono):
             create_into(acc, size, kc, rest_terms, factor * kcoeff, algebra)
     # q_i(e_color) d(rest)
     create_into(acc, size, color, _boundary_mono(algebra, rest), RAT_ONE, algebra)
-    acc = {m: c for m, c in acc.items() if c}
-    cache[mono] = acc
     return acc
 
 
@@ -297,8 +244,7 @@ def boundary_d(algebra):
     realized through its creation-operator recursion.  Bidegree (0, 2)."""
 
     def fn(terms):
-        return _apply_linear(algebra, terms,
-                             lambda mono: _boundary_mono(algebra, mono))
+        return extend(_boundary_mono, algebra, (((), None),), terms)
 
     return LinearOperator(algebra, fn, 0, 2, 0, "d")
 

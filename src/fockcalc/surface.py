@@ -6,8 +6,8 @@ canonical class.  From these we derive the Poincare pairing, the dual basis,
 the Kunneth expansion of the diagonal pushforward, and the Euler class.
 
 Everything is exact rational arithmetic.  Instances are immutable after
-loading (the internal operator caches only memoize pure computations) and can
-be shared freely.
+loading and can be shared freely; their operator memo tables only memoize
+pure computations and are emptied when the weight cap changes.
 """
 
 import json
@@ -57,13 +57,6 @@ class AlgebraElement:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def homogeneous_parts(self):
-        """Split into (degree, element) pieces, ascending degree."""
-        by_deg = {}
-        for i, c in self.coeffs.items():
-            by_deg.setdefault(self.algebra.degrees[i], {})[i] = c
-        return [(d, AlgebraElement(self.algebra, by_deg[d])) for d in sorted(by_deg)]
 
     def __add__(self, other):
         self._check(other)
@@ -144,7 +137,10 @@ class SurfaceAlgebra:
         self._dual_coeffs = [[inverse[k][j] for k in range(self.dim)]
                              for j in range(self.dim)]
         self._diagonal_cache = {}
+        # {kind: {key: image}} memo tables of the operator workers, and the
+        # weight cap they were filled under (see fock.memo)
         self._op_caches = {}
+        self._op_caches_cap = None
         self.euler = self._compute_euler()
 
     # -- basic queries ----------------------------------------------------
@@ -181,9 +177,6 @@ class SurfaceAlgebra:
     def mul_basis(self, i, j):
         """Sparse structure-constant row for e_i * e_j."""
         return self.product[i].get(j, {})
-
-    def integral_basis(self, i):
-        return self.integral_vec[i]
 
     def _integrate_product(self, i, j):
         return sum((c * self.integral_vec[k]

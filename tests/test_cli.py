@@ -53,10 +53,21 @@ def test_class_golden(capsys):
     assert code == 0 and out == "-1/2 * q_2(h) |0>\n"
 
 
-def test_class_index_error(capsys):
+def test_class_index_error(capsys, monkeypatch):
     code, _, err = run(capsys, "class", "B", "--i", "3", "--gamma", "h",
                        "--n", "2", "--algebra", "p2")
     assert code == 2 and "IndexError" in err
+    # G rejects the index before it computes anything
+    from fockcalc import generators
+
+    def no_compute(*args):
+        raise AssertionError("g_class ran before the index check")
+
+    monkeypatch.setattr(generators, "g_class", no_compute)
+    for i in ("3", "-1"):
+        code, _, err = run(capsys, "class", "G", "--i", i, "--gamma", "h",
+                           "--n", "2", "--algebra", "p2")
+        assert code == 2 and "IndexError: need 0 <= i < n" in err
 
 
 def test_class_gamma_combination(capsys):

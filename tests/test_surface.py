@@ -19,6 +19,7 @@ from fockcalc import (
     mul,
     parse_element,
 )
+from fockcalc._rat import parse_rat
 from fockcalc.surface import PRESETS, preset_path
 
 
@@ -227,3 +228,19 @@ def test_parse_element(p2):
         parse_element(p2, "nope")
     with pytest.raises(ParseError):
         parse_element(p2, "1/0*h")
+    with pytest.raises(ParseError):
+        parse_element(p2, "0.5*h")
+
+
+def test_parse_rat_grammar():
+    assert parse_rat("3") == 3
+    assert parse_rat(" -3/4 ") == Rat(-3, 4)
+    assert parse_rat("+2/6") == Rat(1, 3)
+    assert parse_rat(5) == 5
+
+
+@pytest.mark.parametrize("text", ["0.5", "1e3", "1_000", ".5", "1/2.0", "1 / 2",
+                                  "--1", "1/-2", "inf", "nan", "", "٣"])
+def test_parse_rat_rejects_outside_grammar(text):
+    with pytest.raises(ParseError):
+        parse_rat(text)
