@@ -275,29 +275,30 @@ class GenerationReport:
 def generation_closure(generators, n, cap=DEFAULT_CAP):
     """Close span{identity} + generators under the class product.
 
-    Rounds multiply all pairs of current spanning rows and absorb what is
-    new; the dimension trajectory and the maximal filtration degree reached
-    per round are recorded.  Generated means the full center (dimension p(n)).
+    Each round multiplies the unordered pairs u <= v of spanning elements in
+    which at least one factor came in during the last round: the center is
+    commutative, and older pairs are in the span already.  What is new is
+    absorbed; the dimension trajectory and the maximal filtration degree
+    reached per round are recorded.  Generated means the full center
+    (dimension p(n)).
     """
     _check_cap(n, cap)
     parts = partitions_of(n)
     index = {lam: k for k, lam in enumerate(parts)}
     target = len(parts)
 
-    def to_vec(elem):
+    span = RowSpan(target)
+
+    def absorb(elem):
+        """Add elem to the span; True when the dimension grew."""
         vec = [Rat(0)] * target
         for lam, c in elem.coeffs.items():
             vec[index[lam]] = c
-        return vec
+        return span.add(vec)
 
-    def to_elem(vec):
-        return CentralElement(n, {parts[k]: c for k, c in enumerate(vec) if c})
-
-    span = RowSpan(target)
     identity = CentralElement.class_sum((1,) * n if n else (), n)
-    seed = [identity] + list(generators)
-    for elem in seed:
-        span.add(to_vec(elem))
+    fresh = [elem for elem in [identity] + list(generators) if absorb(elem)]
+    older = []
 
     report = GenerationReport(n=n, target=target,
                               generator_names=[render_central(g)
@@ -314,17 +315,19 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     report.dim_trajectory.append(span.dimension)
     report.fh_profile.append(max_fh())
     while True:
-        grew = False
-        basis = [to_elem(row) for row in span.rows]
-        for u in basis:
-            for v in basis:
-                if span.add(to_vec(u * v)):
-                    grew = True
+        added = []
+        for k, v in enumerate(fresh):
+            for u in older + fresh[:k + 1]:
+                prod = u * v
+                if absorb(prod):
+                    added.append(prod)
         report.rounds += 1
         report.dim_trajectory.append(span.dimension)
         report.fh_profile.append(max_fh())
-        if not grew or span.dimension == target:
+        if not added or span.dimension == target:
             break
+        older += fresh
+        fresh = added
     report.dimension = span.dimension
     report.generated = span.dimension == target
     return report

@@ -7,6 +7,9 @@
     fockcalc oracle product --n N --lambda 2,1 --mu 2,1
     fockcalc oracle generate --n N [--drop-two-cycle]
 
+`verify` makes one operators.verify_relations call per selected suite; the
+suites themselves are the entries of operators.SUITES.
+
 Exit codes: 0 pass, 1 verification discrepancy, 2 input/validation error,
 3 resource cap.  Stdout is byte-stable for a fixed invocation; timing goes
 to stderr.
@@ -28,7 +31,7 @@ from .surface import PRESETS, load_algebra, load_preset, parse_element
 
 SCHEMA = 1
 
-VERIFY_SUITES = ("heisenberg", "Lq", "LL", "qprime", "expansion", "nested_bracket")
+VERIFY_SUITES = tuple(operators.SUITES)
 
 
 def resolve_algebra(spec):
@@ -59,68 +62,6 @@ def cmd_algebra_validate(args):
     return 0
 
 
-def _verify_expansion(algebra, max_weight):
-    """Expansion-vs-direct sweep with the standard operator set."""
-    import time
-    start = time.perf_counter()
-    report = operators.Report("expansion", algebra.name,
-                              {"operators": "q_2, L_1, L_0(1), d", "a": "<=3"},
-                              max_weight)
-    if algebra.dim <= 4:
-        colors = list(range(algebra.dim))
-    else:
-        colors = sorted({0, 1, algebra.dim // 2, algebra.dim - 1})
-    gs = [operators.q(2, algebra.basis_element(c)) for c in colors]
-    gs += [operators.virasoro(1, algebra.basis_element(c)) for c in colors]
-    gs += [operators.virasoro(0, algebra.unit()), operators.boundary_d(algebra)]
-    for w in range(1, max_weight + 1):
-        for mono in fock.monomial_basis(w, algebra):
-            b = len(mono)
-            for g in gs:
-                direct = g(fock.FockVector(algebra, {mono: 1}))
-                for a in range(1, min(3, b) + 1):
-                    expansion = generators.commutator_expand(g, a, mono)
-                    report.checked += 1
-                    diff = expansion - direct
-                    if not diff.is_zero():
-                        report.record({"g": g.name, "a": a},
-                                      fock.render_monomial(mono, algebra),
-                                      fock.render_vector(diff))
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def _verify_nested_bracket(algebra, max_weight):
-    import time
-    start = time.perf_counter()
-    unit = algebra.unit()
-    report = operators.Report("nested_bracket", algebra.name,
-                              {"k": "<=3", "tuples": "unit + basis samples"},
-                              max_weight)
-    if algebra.dim <= 4:
-        sample = algebra.basis_elements()
-    else:
-        sample = [algebra.basis_element(c)
-                  for c in sorted({0, 1, 2, algebra.dim // 2, algebra.dim - 1})]
-    for k in range(4):
-        tuples = [(unit, [unit] * (k + 1))]
-        for gamma in sample:
-            alphas = [unit] * (k + 1)
-            tuples.append((gamma, alphas))
-        if k >= 1 and algebra.dim > 4:
-            tuples.append((sample[1], [sample[2]] + [unit] * k))
-        for gamma, alphas in tuples:
-            sub = generators.nested_bracket_check(k, gamma, alphas, algebra,
-                                              max_weight)
-            report.checked += sub.checked
-            for d in sub.discrepancies:
-                report.record({"k": k, "gamma": repr(gamma)},
-                              d.monomial, d.difference)
-            report.discrepancy_count += sub.discrepancy_count - len(sub.discrepancies)
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
 def cmd_verify(args):
     algebra = resolve_algebra(args.algebra)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
@@ -130,14 +71,9 @@ def cmd_verify(args):
                              f"{', '.join(VERIFY_SUITES)}")
     reports = []
     for suite in suites:
-        if suite == "expansion":
-            report = _verify_expansion(algebra, args.max_weight)
-        elif suite == "nested_bracket":
-            report = _verify_nested_bracket(algebra, args.max_weight)
-        else:
-            report = operators.verify_relations(
-                suite, algebra, max_weight=args.max_weight,
-                max_index=args.max_index, jobs=args.jobs)
+        report = operators.verify_relations(
+            suite, algebra, max_weight=args.max_weight,
+            max_index=args.max_index, jobs=args.jobs)
         reports.append(report)
         print(f"{suite} wall_time: {report.wall_time:.2f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)

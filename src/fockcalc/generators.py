@@ -22,7 +22,6 @@ nested_bracket_check, and the B-vs-G filtration comparison.
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 from . import fock
@@ -30,9 +29,12 @@ from ._rat import Rat, RAT_ONE
 from .errors import DomainError, OracleMissing
 from .fock import FockVector, axpy, extend, memo
 from .operators import (
+    Instance,
     LinearOperator,
     Report,
+    _basis_monomials_upto,
     _boundary_mono,
+    _check_instances,
     q,
     supercommutator,
     zero_operator,
@@ -266,6 +268,21 @@ def _creation_terms(algebra, size, color, v):
 # -- nested-bracket identity and filtration reports ----------------------------
 
 
+def _nested_bracket_instance(k, gamma, alphas, monomials, params):
+    """The identity of nested_bracket_check as one instance of the shared
+    check driver, run on `monomials` and reporting `params`."""
+    alphas = list(alphas)
+    if len(alphas) != k + 1:
+        raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
+    prod = mul(gamma, alphas[0])
+    lhs = q1_kth_bracket(k, prod) * Rat(1, math.factorial(k))
+    for a in alphas[1:]:
+        lhs = supercommutator(lhs, q(1, a))
+        prod = mul(prod, a)
+    return Instance(None, params, lhs.fn, (((-1) ** k, q(k + 1, prod).fn),), 0,
+                    monomials)
+
+
 def nested_bracket_check(k, gamma, alphas, algebra, max_weight):
     """Check the (k+1)-fold bracket identity with all q-indices equal to 1:
 
@@ -277,28 +294,12 @@ def nested_bracket_check(k, gamma, alphas, algebra, max_weight):
     remaining brackets.
     """
     alphas = list(alphas)
-    if len(alphas) != k + 1:
-        raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
-    start = time.perf_counter()
-    lhs = q1_kth_bracket(k, mul(gamma, alphas[0])) * Rat(1, math.factorial(k))
-    prod = mul(gamma, alphas[0])
-    for a in alphas[1:]:
-        lhs = supercommutator(lhs, q(1, a))
-        prod = mul(prod, a)
-    rhs = q(k + 1, prod) * ((-1) ** k)
+    instance = _nested_bracket_instance(
+        k, gamma, alphas, _basis_monomials_upto(algebra, max_weight), {"k": k})
     report = Report("nested_bracket", algebra.name,
                     {"k": k, "gamma": repr(gamma),
                      "alphas": [repr(a) for a in alphas]}, max_weight)
-    for w in range(max_weight + 1):
-        for mono in fock.monomial_basis(w, algebra):
-            v = FockVector(algebra, {mono: RAT_ONE})
-            diff = lhs(v) - rhs(v)
-            report.checked += 1
-            if not diff.is_zero():
-                report.record({"k": k}, fock.render_monomial(mono, algebra),
-                              fock.render_vector(diff))
-    report.wall_time = time.perf_counter() - start
-    return report
+    return _check_instances(report, algebra, [instance])
 
 
 @dataclass

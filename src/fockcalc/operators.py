@@ -11,7 +11,12 @@ only materialize for adjoint computations.  Built here:
   derivative(f, k)   iterated bracket with d
   supercommutator    [f, g] = f g - (-1)^(parity product) g f
 
-plus the relation-verification suites and exact adjoint matrices.
+plus exact adjoint matrices and the relation-verification suites.  Each
+suite is an entry of SUITES that lists its identity instances: label, params,
+left map, right maps with scalars, central scalar and the monomials to run
+on.  One driver (_check_instances) checks every instance on its monomials and
+fills the Report; verify_relations and nested_bracket_check both go through
+it.
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  The tables are pure and safe to
@@ -19,8 +24,10 @@ share, and an algebra's tables are emptied when the weight cap changes, so a
 warm table raises TruncationExceeded exactly where a cold one would.
 """
 
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _linalg, fock
 from ._rat import Rat, RAT_ONE
@@ -171,29 +178,35 @@ def q(n, alpha):
 # -- Virasoro -----------------------------------------------------------------
 
 
+_HALF = Rat(1, 2)
+
+
 @memo("L")
 def _virasoro_mono(algebra, n, color, mono):
-    """L_n(e_color) applied to one monomial."""
+    """L_n(e_color) applied to one monomial.
+
+    The orders (m, n-m) and (n-m, m) of a pair give equal terms: the diagonal
+    is supersymmetric, q_m and q_{n-m} supercommute for n != 0, and L_0 is
+    normal ordered.  So each unordered pair is applied once, annihilation
+    first, with weight 1, and the diagonal m = n - m with weight 1/2.  No
+    intermediate outweighs the larger of the monomial and the result.
+    """
     w = fock.weight(mono)
     terms = {mono: RAT_ONE}
     acc = {}
     triples = algebra.kunneth_triples(color)
-    if n == 0:
-        window = [(m, -m) for m in range(1, w + 1)]
-        half = False
-    else:
-        window = [(m, n - m) for m in range(-w, n + w + 1) if m != 0 and m != n]
-        half = True
-    for m1, m2 in window:
+    for m2 in range(-w, n // 2 + 1):  # q_{m2} acts first, then q_{n-m2}
+        m1 = n - m2
+        if not m1 or not m2:
+            continue
         outer, size1 = _q_kernel(m1)
         inner_kernel, size2 = _q_kernel(m2)
+        scale = _HALF if m1 == m2 else RAT_ONE
         for u, v, t in triples:
             inner = {}
             inner_kernel(inner, size2, v, terms, t, algebra)
             if inner:
-                outer(acc, size1, u, inner, RAT_ONE, algebra)
-    if half:
-        acc = {m: c / 2 for m, c in acc.items()}
+                outer(acc, size1, u, inner, scale, algebra)
     return acc
 
 
@@ -376,7 +389,9 @@ class Report:
             self.discrepancies.append(Discrepancy(params, mono_text, diff_text))
 
     def count_instance(self, label, checked):
-        self.instance_counts[label] = self.instance_counts.get(label, 0) + checked
+        """Add `checked` checks; a label of None adds no per-instance entry."""
+        if label is not None:
+            self.instance_counts[label] = self.instance_counts.get(label, 0) + checked
         self.checked += checked
 
     def to_record(self):
@@ -412,6 +427,24 @@ class Report:
         return "\n".join(lines)
 
 
+class Instance(NamedTuple):
+    """One identity lhs(v) - sum(s * rhs(v)) - central * v = 0, checked on
+    every v in `monomials`.
+
+    `lhs` and the maps in `rhs` (pairs (s, map)) take {mono: c} terms and
+    return a fresh dict, as LinearOperator.fn does.  Checks are counted under
+    `label` in Report.instance_counts, or only in Report.checked when the
+    label is None; `params` go with each discrepancy.
+    """
+
+    label: object
+    params: dict
+    lhs: object
+    rhs: tuple
+    central: object
+    monomials: list
+
+
 def _basis_monomials_upto(algebra, max_weight):
     out = []
     for n in range(max_weight + 1):
@@ -419,31 +452,208 @@ def _basis_monomials_upto(algebra, max_weight):
     return out
 
 
-def _index_range(bound):
-    return [k for k in range(-bound, bound + 1) if k != 0]
-
-
 def _run_tasks(tasks, run_task, jobs):
     """Evaluate run_task over the identity instances, optionally on a thread
     pool.  Results come back in task order, so reports are identical for any
-    worker count.  Workers only read shared immutable data and fill pure
-    memo caches, which tolerates concurrent writes."""
+    worker count; with one worker they are made lazily, one task at a time.
+    Workers only read shared immutable data and fill pure memo caches, which
+    tolerates concurrent writes."""
     if jobs and jobs > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(run_task, tasks))
-    return [run_task(t) for t in tasks]
+    return map(run_task, tasks)
 
 
-def _collect(report, algebra, results):
-    """Merge per-task (label, checked, witnesses) rows into the report, in
-    task order; counts are bucketed per identity instance."""
-    for label, checked, witnesses in results:
+def _check_instances(report, algebra, instances, jobs=1):
+    """Check every instance on each of its monomials and fill `report`.
+
+    Discrepancies are recorded in instance order, then monomial order, so
+    the report is the same for any `jobs`."""
+    start = time.perf_counter()
+
+    def run(instance):
+        lhs, rhs, central = instance.lhs, instance.rhs, instance.central
+        witnesses = []
+        for mono in instance.monomials:
+            terms = {mono: RAT_ONE}
+            diff = lhs(terms)
+            for scale, op in rhs:
+                axpy(diff, op(terms), -scale)
+            if central:
+                axpy(diff, {mono: -central})
+            if diff:
+                witnesses.append((mono, diff))
+        return instance.label, instance.params, len(instance.monomials), witnesses
+
+    for label, params, checked, witnesses in _run_tasks(instances, run, jobs):
         report.count_instance(label, checked)
-        for params, mono, diff_terms in witnesses:
+        for mono, diff in witnesses:
             report.record(params, fock.render_monomial(mono, algebra),
-                          fock.render_vector(FockVector(algebra, diff_terms)))
-    return report.checked
+                          fock.render_vector(FockVector(algebra, diff)))
+    report.wall_time = time.perf_counter() - start
+    return report
+
+
+def _heis_creation_fast(algebra, n, ca, m, cb, sign):
+    """The map of [q_n(e_ca), q_m(e_cb)] for n, m > 0, without dict churn:
+    each order of the two prepends yields at most one signed monomial."""
+    prepend = fock.prepend_part
+
+    def fn(terms):
+        acc = {}
+        for mono, c in terms.items():
+            hit = prepend(mono, m, cb, algebra)
+            left = hit and prepend(hit[0], n, ca, algebra)
+            if left:
+                left = (left[0], left[1] * hit[1])
+            hit = prepend(mono, n, ca, algebra)
+            right = hit and prepend(hit[0], m, cb, algebra)
+            if right:
+                right = (right[0], -sign * right[1] * hit[1])
+            if left and right and left[0] == right[0] and left[1] + right[1] == 0:
+                continue
+            for term in (left, right):
+                if term:
+                    axpy(acc, {term[0]: c * term[1]})
+        return acc
+
+    return fn
+
+
+def _pair_instance(n, m, a, b, lhs, rhs, central, monomials):
+    return Instance(f"n={n},m={m}",
+                    {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)},
+                    lhs, rhs, central, monomials)
+
+
+def _index_range(bound):
+    return [k for k in range(-bound, bound + 1) if k != 0]
+
+
+def _heisenberg(algebra, bound, classes, monomials):
+    idx = _index_range(bound)
+    basis = all(len(a.coeffs) == 1 and RAT_ONE in a.coeffs.values()
+                for a in classes)
+    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+        if basis and n > 0 and m > 0:
+            (ca,), (cb,) = a.coeffs, b.coeffs
+            sign = -1 if algebra.parities[ca] and algebra.parities[cb] else 1
+            lhs = _heis_creation_fast(algebra, n, ca, m, cb, sign)
+        else:
+            lhs = supercommutator(q(n, a), q(m, b)).fn
+        central = n * integral(mul(a, b)) if n + m == 0 else 0
+        yield _pair_instance(n, m, a, b, lhs, (), central, monomials)
+
+
+def _lq(algebra, bound, classes, monomials):
+    idx = range(-bound, bound + 1)
+    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+        if m:
+            yield _pair_instance(n, m, a, b,
+                                 supercommutator(virasoro(n, a), q(m, b)).fn,
+                                 ((-m, q(n + m, mul(a, b)).fn),), 0, monomials)
+
+
+def _ll(algebra, bound, classes, monomials):
+    idx = range(-bound, bound + 1)
+    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+        ab = mul(a, b)
+        central = 0
+        if n + m == 0:
+            central = -Rat(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
+        rhs = ((n - m, virasoro(n + m, ab).fn),) if n != m else ()
+        yield _pair_instance(n, m, a, b,
+                             supercommutator(virasoro(n, a), virasoro(m, b)).fn,
+                             rhs, central, monomials)
+
+
+def _qprime(algebra, bound, classes, monomials):
+    for n, a in itertools.product(_index_range(bound), classes):
+        k_scale = Rat(n * (abs(n) - 1), 2)
+        rhs = ((n, virasoro(n, a).fn),)
+        if k_scale:
+            rhs += ((k_scale, q(n, mul(algebra.canonical_class, a)).fn),)
+        yield Instance(f"n={n}", {"n": n, "alpha": repr(a)},
+                       derivative(q(n, a), 1).fn, rhs, 0, monomials)
+
+
+def _index_suite(instances, default_bound, even=False):
+    """A suite over index settings |n|, |m| <= max_index and pairs of classes
+    (the full basis by default, the even basis when `even`)."""
+
+    def entry(algebra, max_weight, max_index, classes):
+        bound = default_bound if max_index is None else max_index
+        if classes is None:
+            classes = (algebra.even_basis_elements() if even
+                       else algebra.basis_elements())
+        classes = list(classes)
+        monomials = _basis_monomials_upto(algebra, max_weight)
+        return ({"max_index": bound, "classes": len(classes)},
+                instances(algebra, bound, classes, monomials))
+
+    return entry
+
+
+def _sample_colors(algebra, picks):
+    """Every basis color of a small algebra, else the colors `picks` names."""
+    if algebra.dim <= 4:
+        return list(range(algebra.dim))
+    return sorted(set(picks))
+
+
+def _expansion(algebra, max_weight, max_index, classes):
+    # generators imports this module, so it is imported at call time
+    from .generators import commutator_expand
+
+    colors = _sample_colors(algebra, (0, 1, algebra.dim // 2, algebra.dim - 1))
+    ops = [q(2, algebra.basis_element(c)) for c in colors]
+    ops += [virasoro(1, algebra.basis_element(c)) for c in colors]
+    ops += [virasoro(0, algebra.unit()), boundary_d(algebra)]
+    monomials = _basis_monomials_upto(algebra, max_weight)
+    instances = []
+    for g in ops:
+        for a in (1, 2, 3):
+            def expanded(terms, g=g, a=a):
+                acc = {}
+                for mono, c in terms.items():
+                    axpy(acc, commutator_expand(g, a, mono).terms, c)
+                return acc
+
+            instances.append(Instance(None, {"g": g.name, "a": a}, expanded,
+                                      ((1, g.fn),), 0,
+                                      [v for v in monomials if len(v) >= a]))
+    return {"operators": "q_2, L_1, L_0(1), d", "a": "<=3"}, instances
+
+
+def _nested_bracket(algebra, max_weight, max_index, classes):
+    from .generators import _nested_bracket_instance
+
+    unit = algebra.unit()
+    sample = [algebra.basis_element(c) for c in _sample_colors(
+        algebra, (0, 1, 2, algebra.dim // 2, algebra.dim - 1))]
+    monomials = _basis_monomials_upto(algebra, max_weight)
+    instances = []
+    for k in range(4):
+        tuples = [(gamma, [unit] * (k + 1)) for gamma in [unit] + sample]
+        if k >= 1 and algebra.dim > 4:
+            tuples.append((sample[1], [sample[2]] + [unit] * k))
+        instances += [_nested_bracket_instance(k, gamma, alphas, monomials,
+                                               {"k": k, "gamma": repr(gamma)})
+                      for gamma, alphas in tuples]
+    return {"k": "<=3", "tuples": "unit + basis samples"}, instances
+
+
+# suite name -> entry(algebra, max_weight, max_index, classes), which returns
+# the report parameters and an iterable of the identity instances
+SUITES = {
+    "heisenberg": _index_suite(_heisenberg, 3),
+    "Lq": _index_suite(_lq, 2),
+    "LL": _index_suite(_ll, 2, even=True),
+    "qprime": _index_suite(_qprime, 3),
+    "expansion": _expansion,
+    "nested_bracket": _nested_bracket,
+}
 
 
 def verify_relations(suite, algebra, *, max_weight, max_index=None,
@@ -455,192 +665,22 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
            "LL"          [L_n(a), L_m(b)] = (n-m) L_{n+m}(ab)
                                             - (n^3-n)/12 delta_{n+m} int(c2 ab) Id
            "qprime"      [d, q_n(a)] = n L_n(a) + n(|n|-1)/2 q_n(K a)
+           "expansion"   commutator_expand(g, a, v) = g(v) for g in q_2(e),
+                         L_1(e), L_0(1), d over sampled basis classes e and
+                         a <= 3, on monomials v of weight >= 1 with >= a parts
+           "nested_bracket"
+                         the identity of nested_bracket_check for k <= 3,
+                         all a_i = 1 and gamma the unit or a sampled basis
+                         class; on algebras of dimension > 4 also with
+                         gamma = e_1, a_1 = e_2 for k >= 1
 
-    `classes` defaults to the full basis (even basis only for "LL").
+    The first four run over |n|, |m| <= max_index (a per-suite default) and
+    pairs of `classes`, which default to the full basis (even basis only for
+    "LL"); "expansion" and "nested_bracket" ignore both.  Checks run on every
+    basis monomial of weight <= max_weight.
     """
-    defaults = {"heisenberg": 3, "Lq": 2, "LL": 2, "qprime": 3}
-    if suite not in defaults:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    bound = max_index if max_index is not None else defaults[suite]
-    if classes is None:
-        classes = (algebra.even_basis_elements() if suite == "LL"
-                   else algebra.basis_elements())
-    classes = list(classes)
-    monomials = _basis_monomials_upto(algebra, max_weight)
-    report = Report(suite, algebra.name,
-                    {"max_index": bound, "classes": len(classes)}, max_weight)
-    start = time.perf_counter()
-
-    if suite == "heisenberg":
-        checks = _run_heisenberg(algebra, bound, classes, monomials, report, jobs)
-    elif suite == "Lq":
-        checks = _run_lq(algebra, bound, classes, monomials, report, jobs)
-    elif suite == "LL":
-        checks = _run_ll(algebra, bound, classes, monomials, report, jobs)
-    else:
-        checks = _run_qprime(algebra, bound, classes, monomials, report, jobs)
-
-    assert checks == report.checked
-    report.wall_time = time.perf_counter() - start
-    return report
-
-
-def _witness(witnesses, params, mono, diff_terms):
-    diff_terms = {m: c for m, c in diff_terms.items() if c}
-    if diff_terms:
-        witnesses.append((params, mono, diff_terms))
-
-
-def _run_heisenberg(algebra, bound, classes, monomials, report, jobs):
-    idx = _index_range(bound)
-    single_colors = all(len(a.coeffs) == 1 and RAT_ONE in a.coeffs.values()
-                        for a in classes)
-    tasks = [(n, m, a, b)
-             for n in idx for m in idx for a in classes for b in classes]
-
-    def run_task(task):
-        n, m, a, b = task
-        qa, qb = q(n, a), q(m, b)
-        sign = -1 if (qa.parity and qb.parity) else 1
-        central = n * integral(mul(a, b)) if n + m == 0 else Rat(0)
-        params = {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)}
-        label = f"n={n},m={m}"
-        witnesses = []
-        if single_colors and n > 0 and m > 0:
-            ca, cb = next(iter(a.coeffs)), next(iter(b.coeffs))
-            checked, witnesses = _heis_creation_fast(
-                algebra, n, ca, m, cb, sign, monomials, params, witnesses)
-            return label, checked, witnesses
-        checked = 0
-        for mono in monomials:
-            terms = {mono: RAT_ONE}
-            lhs = qa.fn(qb.fn(terms))
-            for mm, c in qb.fn(qa.fn(terms)).items():
-                lhs[mm] = lhs.get(mm, 0) - sign * c
-            if central:
-                lhs[mono] = lhs.get(mono, 0) - central
-            checked += 1
-            _witness(witnesses, params, mono, lhs)
-        return label, checked, witnesses
-
-    return _collect(report, algebra, _run_tasks(tasks, run_task, jobs))
-
-
-def _heis_creation_fast(algebra, n, ca, m, cb, sign, monomials, params,
-                        witnesses):
-    """Both-creation commutator check without dict churn: with basis colors
-    each order of prepends yields at most a single signed monomial."""
-    checked = 0
-    prepend = fock.prepend_part
-    for mono in monomials:
-        first = prepend(mono, m, cb, algebra)
-        if first is None:
-            lhs1 = None
-        else:
-            lhs1 = prepend(first[0], n, ca, algebra)
-            if lhs1 is not None:
-                lhs1 = (lhs1[0], lhs1[1] * first[1])
-        second = prepend(mono, n, ca, algebra)
-        if second is None:
-            lhs2 = None
-        else:
-            lhs2 = prepend(second[0], m, cb, algebra)
-            if lhs2 is not None:
-                lhs2 = (lhs2[0], lhs2[1] * second[1])
-        checked += 1
-        if lhs1 is None and lhs2 is None:
-            continue
-        if (lhs1 is not None and lhs2 is not None
-                and lhs1[0] == lhs2[0] and lhs1[1] == sign * lhs2[1]):
-            continue
-        diff = {}
-        if lhs1 is not None:
-            diff[lhs1[0]] = Rat(lhs1[1])
-        if lhs2 is not None:
-            diff[lhs2[0]] = diff.get(lhs2[0], 0) - sign * lhs2[1]
-        _witness(witnesses, params, mono, diff)
-    return checked, witnesses
-
-
-def _run_lq(algebra, bound, classes, monomials, report, jobs):
-    idx = list(range(-bound, bound + 1))
-    tasks = [(n, m, a, b) for n in idx for m in idx if m != 0
-             for a in classes for b in classes]
-
-    def run_task(task):
-        n, m, a, b = task
-        bracket = supercommutator(virasoro(n, a), q(m, b))
-        rhs_op = q(n + m, mul(a, b)) * (-m)
-        params = {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)}
-        label = f"n={n},m={m}"
-        witnesses = []
-        checked = 0
-        for mono in monomials:
-            terms = {mono: RAT_ONE}
-            lhs = bracket.fn(terms)
-            for mm, c in rhs_op.fn(terms).items():
-                lhs[mm] = lhs.get(mm, 0) - c
-            checked += 1
-            _witness(witnesses, params, mono, lhs)
-        return label, checked, witnesses
-
-    return _collect(report, algebra, _run_tasks(tasks, run_task, jobs))
-
-
-def _run_ll(algebra, bound, classes, monomials, report, jobs):
-    euler = algebra.euler
-    idx = list(range(-bound, bound + 1))
-    tasks = [(n, m, a, b)
-             for n in idx for m in idx for a in classes for b in classes]
-
-    def run_task(task):
-        n, m, a, b = task
-        ab = mul(a, b)
-        bracket = supercommutator(virasoro(n, a), virasoro(m, b))
-        rhs_op = virasoro(n + m, ab) * (n - m)
-        central = Rat(0)
-        if n + m == 0:
-            central = -Rat(n ** 3 - n, 12) * integral(mul(euler, ab))
-        params = {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)}
-        label = f"n={n},m={m}"
-        witnesses = []
-        checked = 0
-        for mono in monomials:
-            terms = {mono: RAT_ONE}
-            lhs = bracket.fn(terms)
-            for mm, c in rhs_op.fn(terms).items():
-                lhs[mm] = lhs.get(mm, 0) - c
-            if central:
-                lhs[mono] = lhs.get(mono, 0) - central
-            checked += 1
-            _witness(witnesses, params, mono, lhs)
-        return label, checked, witnesses
-
-    return _collect(report, algebra, _run_tasks(tasks, run_task, jobs))
-
-
-def _run_qprime(algebra, bound, classes, monomials, report, jobs):
-    k_class = algebra.canonical_class
-    tasks = [(n, a) for n in _index_range(bound) for a in classes]
-
-    def run_task(task):
-        n, a = task
-        lhs_op = derivative(q(n, a), 1)
-        rhs_op = virasoro(n, a) * n
-        k_part = q(n, mul(k_class, a)) * Rat(n * (abs(n) - 1), 2)
-        params = {"n": n, "alpha": repr(a)}
-        label = f"n={n}"
-        witnesses = []
-        checked = 0
-        for mono in monomials:
-            terms = {mono: RAT_ONE}
-            lhs = lhs_op.fn(terms)
-            for mm, c in rhs_op.fn(terms).items():
-                lhs[mm] = lhs.get(mm, 0) - c
-            for mm, c in k_part.fn(terms).items():
-                lhs[mm] = lhs.get(mm, 0) - c
-            checked += 1
-            _witness(witnesses, params, mono, lhs)
-        return label, checked, witnesses
-
-    return _collect(report, algebra, _run_tasks(tasks, run_task, jobs))
+    params, instances = SUITES[suite](algebra, max_weight, max_index, classes)
+    report = Report(suite, algebra.name, params, max_weight)
+    return _check_instances(report, algebra, instances, jobs)

@@ -201,6 +201,55 @@ def test_generation_profile_monotone():
     assert rep.fh_profile[-1] == 4  # top filtration degree n - 1
 
 
+# (dim_trajectory, fh_profile, rounds) for n = 2..8, from multiplying every
+# ordered pair of the span basis in every round
+CLOSURE_PROFILES = {
+    "all": {2: ([2, 2], [1, 1], 1), 3: ([3, 3], [2, 2], 1),
+            4: ([4, 5], [3, 3], 1), 5: ([5, 7], [4, 4], 1),
+            6: ([6, 11], [5, 5], 1), 7: ([7, 15], [6, 6], 1),
+            8: ([8, 22], [7, 7], 1)},
+    "drop two-cycle": {2: ([1, 1], [0, 0], 1), 3: ([2, 2], [2, 2], 1),
+                       4: ([3, 5], [3, 3], 1), 5: ([4, 6, 6], [4, 4, 4], 2),
+                       6: ([5, 11], [5, 5], 1), 7: ([6, 15], [6, 6], 1),
+                       8: ([7, 21, 21], [7, 7, 7], 2)},
+    "top cycle": {2: ([2, 2], [1, 1], 1), 3: ([2, 2], [2, 2], 1),
+                  4: ([2, 3, 5], [3, 3, 3], 2),
+                  5: ([2, 3, 4, 4], [4, 4, 4, 4], 3),
+                  6: ([2, 3, 5, 7, 7], [5, 5, 5, 5, 5], 4),
+                  7: ([2, 3, 5, 5], [6, 6, 6, 6], 3),
+                  8: ([2, 3, 5, 9, 9], [7, 7, 7, 7, 7], 4)},
+}
+CLOSURE_GENERATORS = {
+    "all": lambda n: range(n),
+    "drop two-cycle": lambda n: [i for i in range(n) if i != 1],
+    "top cycle": lambda n: [n - 1],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSURE_PROFILES))
+def test_generation_closure_profiles(family):
+    for n, expected in CLOSURE_PROFILES[family].items():
+        gens = [b_analog(i, n) for i in CLOSURE_GENERATORS[family](n)]
+        rep = generation_closure(gens, n)
+        assert (rep.dim_trajectory, rep.fh_profile, rep.rounds) == expected, n
+
+
+def test_generation_closure_skips_repeated_pairs(monkeypatch):
+    # all 6 x 6 ordered pairs of the n = 6 seed span were multiplied before;
+    # the 21 unordered ones suffice
+    calls = []
+    mul = CentralElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(CentralElement, "__mul__", counting)
+    rep = generation_closure([b_analog(i, 6) for i in range(6)], 6)
+    assert rep.generated
+    assert len(calls) < 36
+
+
 def test_drop_two_cycle_diagnostic():
     # reported, not asserted: n = 3 loses the odd classes, n = 4 still closes
     for n in (3, 4):

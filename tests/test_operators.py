@@ -124,6 +124,28 @@ def test_virasoro_window_annihilates_outside(p2):
         assert pair_sum.is_zero(), m
 
 
+def test_virasoro_matches_the_quadratic_definition(p2, torus):
+    # L_n(e) = 1/2 sum_m q_m q_{n-m} over the diagonal of e for n != 0, and
+    # sum_{m>0} q_m q_{-m} at n = 0, summed in every order of the window
+    from fockcalc import diagonal_pushforward
+    for alg, weight, colors in ((p2, 3, range(3)), (torus, 2, (1, 6, 11))):
+        vectors = basis_vectors(alg, weight)
+        for c in colors:
+            e = alg.basis_element(c)
+            pairs = diagonal_pushforward(e)
+            for n in range(-3, 4):
+                if n == 0:
+                    window, scale = range(1, weight + 1), 1
+                else:
+                    window, scale = range(-weight, n + weight + 1), Rat(1, 2)
+                for v in vectors:
+                    direct = FockVector.zero(alg)
+                    for m in window:
+                        for x, y in pairs:
+                            direct = direct + q(m, x)(q(n - m, y)(v))
+                    assert virasoro(n, e)(v) == direct.scale(scale), (n, c, v)
+
+
 # -- boundary operator --------------------------------------------------------------
 
 
@@ -333,6 +355,29 @@ def test_report_discrepancy_path():
     assert len(rep.discrepancies) == rep.max_kept  # capped, count exact
     assert "result: FAIL" in rep.render_text()
     assert rep.to_record()["passed"] is False
+
+
+def test_check_driver_reports_a_false_identity(p2):
+    # q_1(h) = 2 q_1(h) fails on every monomial; Id + q_1(h) = q_1(h) + 1 Id
+    # holds, and is counted without a per-instance entry
+    from fockcalc.operators import Instance, Report, _check_instances
+    h = p2.basis_element("h")
+    monos = [m for w in range(3) for m in monomial_basis(w, p2)]
+    q1h = q(1, h).fn
+    wrong = Instance("wrong", {"n": 1}, q1h, ((2, q1h),), 0, monos)
+    right = Instance(None, {}, (identity_operator(p2) + q(1, h)).fn,
+                     ((1, q1h),), 1, monos)
+    records = []
+    for jobs in (1, 2):
+        rep = _check_instances(Report("t", "p2", {}, 2), p2, [wrong, right], jobs)
+        assert rep.checked == 2 * len(monos)
+        assert rep.instance_counts == {"wrong": len(monos)}
+        assert rep.discrepancy_count == len(monos)
+        first = rep.discrepancies[0]
+        assert (first.params, first.monomial, first.difference) == (
+            {"n": 1}, "|0>", "-1 * q_1(h) |0>")
+        records.append(rep.to_record())
+    assert records[0] == records[1]
 
 
 def test_suite_jobs_deterministic(p2):
