@@ -1,18 +1,20 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are lists of row lists of Rat.  Pivoting is deterministic (first
+Matrices are lists of row lists of ints and Rats.  Each pivot is inverted
+through `ratio`, never as `1 / x`, which would turn an int pivot into a
+float.  Pivoting is deterministic (first
 nonzero entry scanning down), so every derived object — dual bases, Kunneth
 coefficients, closure dimensions — is byte-stable across runs.
 """
 
-from ._rat import Rat, RAT_ZERO
+from ._rat import ratio
 
 
 def solve(matrix, rhs_columns):
     """Solve A·X = B for X, with B given column-wise.
 
-    Returns the list of solution columns, or None when A is singular.
-    Inputs are copied, not mutated.
+    Returns the list of solution columns, or None when A is singular; whole
+    entries come back as ints.  Inputs are copied, not mutated.
     """
     n = len(matrix)
     ncols = len(rhs_columns)
@@ -23,7 +25,7 @@ def solve(matrix, rhs_columns):
             return None
         if src != piv:
             aug[piv], aug[src] = aug[src], aug[piv]
-        inv = 1 / aug[piv][piv]
+        inv = ratio(1, aug[piv][piv])
         aug[piv] = [x * inv for x in aug[piv]]
         for r in range(n):
             if r != piv and aug[r][piv]:
@@ -31,13 +33,13 @@ def solve(matrix, rhs_columns):
                 row, prow = aug[r], aug[piv]
                 for c in range(piv, n + ncols):
                     row[c] -= f * prow[c]
-    return [[aug[r][n + j] for r in range(n)] for j in range(ncols)]
+    return [[ratio(aug[r][n + j]) for r in range(n)] for j in range(ncols)]
 
 
 def invert(matrix):
     """Exact inverse, or None when singular."""
     n = len(matrix)
-    eye = [[Rat(1) if i == j else RAT_ZERO for i in range(n)] for j in range(n)]
+    eye = [[int(i == j) for i in range(n)] for j in range(n)]
     cols = solve(matrix, eye)
     if cols is None:
         return None
@@ -56,7 +58,7 @@ def rank(rows):
         if src is None:
             continue
         work[rk], work[src] = work[src], work[rk]
-        inv = 1 / work[rk][col]
+        inv = ratio(1, work[rk][col])
         work[rk] = [x * inv for x in work[rk]]
         for r in range(len(work)):
             if r != rk and work[r][col]:
@@ -71,9 +73,10 @@ def rank(rows):
 class RowSpan:
     """A growing subspace kept in reduced echelon form.
 
-    Vectors are dense Rat lists of a fixed length.  `add` reduces the vector
-    against the current rows and absorbs a new pivot if anything survives;
-    the pivot scan order is the coordinate order, so results are reproducible.
+    Vectors are dense lists of ints and Rats of a fixed length.  `add`
+    reduces the vector against the current rows and absorbs a new pivot if
+    anything survives; the pivot scan order is the coordinate order, so
+    results are reproducible.
     """
 
     def __init__(self, length):
@@ -100,7 +103,7 @@ class RowSpan:
         piv = next((c for c in range(self.length) if vec[c]), None)
         if piv is None:
             return False
-        inv = 1 / vec[piv]
+        inv = ratio(1, vec[piv])
         vec = [x * inv for x in vec]
         for row in self.rows:
             f = row[piv]

@@ -1,8 +1,13 @@
-"""Exact rational scalars.
+"""Exact rational scalars, int first.
 
-gmpy2.mpq when available (much faster), fractions.Fraction otherwise.  Both
-store reduced fractions with positive denominator and stringify as "p/q"/"p",
-which is exactly the coefficient grammar used by algebra files and reports.
+Every coefficient is a Python int until a division makes it a Rat: gmpy2.mpq
+when available (much faster), fractions.Fraction otherwise.  Every division
+goes through `ratio`: the pivots of _linalg and the explicit fractions 1/2,
+1/k! and (n^3 - n)/12; parsed "p/q" coefficients are Rats too.  A float
+never enters: `exact` turns away anything but an int or a Rat.  Both backends
+store reduced fractions with positive denominator and stringify as
+"p/q"/"p", like ints, which is exactly the coefficient grammar used by
+algebra files and reports.
 """
 
 import re
@@ -14,20 +19,32 @@ try:
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
     from fractions import Fraction as Rat
 
-RAT_ZERO = Rat(0)
-RAT_ONE = Rat(1)
-
 # an optional sign, then p or p/q in ASCII digits; checked before Rat sees the
 # text, so both backends accept exactly the same strings
 _RAT_GRAMMAR = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
+def ratio(num, den=1):
+    """The exact quotient num/den: an int when it is whole, else a Rat."""
+    value = Rat(num) / den
+    return int(value) if value.denominator == 1 else value
+
+
+def exact(scalar):
+    """`scalar` itself when it is an int or a Rat; TypeError otherwise, so
+    floats, strings and other inexact values never become coefficients."""
+    if not isinstance(scalar, (int, Rat)):
+        raise TypeError(f"expected an int or an exact rational, got "
+                        f"{type(scalar).__name__} {scalar!r}")
+    return scalar
+
+
 def parse_rat(text):
-    """Parse "p" or "p/q" into an exact rational."""
+    """Parse "p" or "p/q" into an int when whole, else a Rat."""
     match = _RAT_GRAMMAR.fullmatch(str(text))
     if match is None:
         raise ParseError(f"bad rational coefficient {text!r}: expected p or p/q")
     num, den = match.groups()
     if den is not None and not int(den):
         raise ParseError(f"bad rational coefficient {text!r}: zero denominator")
-    return Rat(int(num), int(den or 1))
+    return ratio(int(num), int(den or 1))

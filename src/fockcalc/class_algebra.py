@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._rat import Rat
+from ._rat import Rat, exact
 from ._linalg import RowSpan
 from .errors import CapExceeded
 
@@ -159,7 +159,7 @@ class CentralElement:
 
     def __init__(self, n, coeffs=None):
         self.n = n
-        self.coeffs = {check_partition(p, n): Rat(c)
+        self.coeffs = {check_partition(p, n): Rat(exact(c))
                        for p, c in (coeffs or {}).items() if c}
 
     @classmethod
@@ -185,8 +185,8 @@ class CentralElement:
         return CentralElement(self.n, out)
 
     def scale(self, scalar):
-        return CentralElement(self.n, {p: c * Rat(scalar)
-                                       for p, c in self.coeffs.items()})
+        s = exact(scalar)
+        return CentralElement(self.n, {p: c * s for p, c in self.coeffs.items()})
 
     __rmul__ = scale
 

@@ -69,11 +69,15 @@ def cmd_verify(args):
         if suite not in VERIFY_SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from "
                              f"{', '.join(VERIFY_SUITES)}")
+    # one shared --max-index bounds the suites that take an index
+    if args.max_index is not None and set(suites) <= set(operators.INDEX_FREE):
+        raise ValueError(f"--max-index does not apply to {args.suite}")
     reports = []
     for suite in suites:
         report = operators.verify_relations(
             suite, algebra, max_weight=args.max_weight,
-            max_index=args.max_index, jobs=args.jobs)
+            max_index=None if suite in operators.INDEX_FREE else args.max_index,
+            jobs=args.jobs)
         reports.append(report)
         print(f"{suite} wall_time: {report.wall_time:.2f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)

@@ -17,7 +17,7 @@ those images in per-algebra tables that respect the weight cap.
 import functools
 import itertools
 
-from ._rat import Rat, RAT_ONE
+from ._rat import exact
 from .class_algebra import partitions_of
 from .errors import InvalidPart, TruncationExceeded
 
@@ -123,25 +123,17 @@ def contract_into(acc, size, color, vec_terms, coeff, algebra):
                 passed_odd += 1
 
 
-def axpy(acc, terms, scale=None):
+def axpy(acc, terms, scale=1):
     """acc += scale * terms over {mono: c} dicts, dropping entries that cancel.
 
-    No multiply is made when scale is None.  Returns acc.
+    Returns acc.
     """
-    if scale is None:
-        for mono, c in terms.items():
-            val = acc.get(mono, 0) + c
-            if val:
-                acc[mono] = val
-            else:
-                acc.pop(mono, None)
-    else:
-        for mono, c in terms.items():
-            val = acc.get(mono, 0) + scale * c
-            if val:
-                acc[mono] = val
-            else:
-                acc.pop(mono, None)
+    for mono, c in terms.items():
+        val = acc.get(mono, 0) + scale * c
+        if val:
+            acc[mono] = val
+        else:
+            acc.pop(mono, None)
     return acc
 
 
@@ -179,14 +171,14 @@ def extend(worker, algebra, keyed, terms):
     """The linear extension of a per-monomial worker.
 
     Sums coeff * c * worker(algebra, *key, mono) over (key, coeff) in `keyed`
-    and (mono, c) in `terms`; a coeff of None stands for 1.
+    and (mono, c) in `terms`.
     """
     acc = {}
     for key, coeff in keyed:
         for mono, c in terms.items():
             image = worker(algebra, *key, mono)
             if image:
-                axpy(acc, image, c if coeff is None else coeff * c)
+                axpy(acc, image, coeff * c)
     return acc
 
 
@@ -201,7 +193,7 @@ class FockVector:
 
     @classmethod
     def vacuum(cls, algebra):
-        return cls(algebra, {(): RAT_ONE})
+        return cls(algebra, {(): 1})
 
     @classmethod
     def zero(cls, algebra):
@@ -211,7 +203,7 @@ class FockVector:
         return not self.terms
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), Rat(0))
+        return self.terms.get(tuple(mono), 0)
 
     def __add__(self, other):
         self._check(other)
@@ -231,7 +223,7 @@ class FockVector:
         return FockVector(self.algebra, {m: -c for m, c in self.terms.items()})
 
     def scale(self, scalar):
-        s = Rat(scalar)
+        s = exact(scalar)
         if not s:
             return FockVector.zero(self.algebra)
         return FockVector(self.algebra, {m: c * s for m, c in self.terms.items()})
@@ -264,7 +256,7 @@ def canonicalize(algebra, raw):
     for size, _ in raw:
         if size < 1:
             raise InvalidPart(f"part size {size} < 1")
-    acc = {(): RAT_ONE}
+    acc = {(): 1}
     for size, elem in reversed(list(raw)):
         nxt = {}
         for color, coeff in elem.coeffs.items():
@@ -343,7 +335,7 @@ def inner_product(u, v):
     if u.algebra is not v.algebra:
         raise ValueError("vectors over different algebras")
     alg = u.algebra
-    total = Rat(0)
+    total = 0
     for mono, cu in u.terms.items():
         total += cu * _pair_mono(mono, v.terms, alg)
     return total
@@ -351,15 +343,15 @@ def inner_product(u, v):
 
 def _pair_mono(mono, right_terms, alg):
     if not right_terms:
-        return Rat(0)
+        return 0
     if not mono:
-        return right_terms.get((), Rat(0))
+        return right_terms.get((), 0)
     size, color = mono[0]
     rest = mono[1:]
     m_deg = 2 * (size - 1) + alg.degrees[color]
     sign_exp = size + m_deg * degree(rest, alg)
     acc = {}
-    contract_into(acc, size, color, right_terms, RAT_ONE, alg)
+    contract_into(acc, size, color, right_terms, 1, alg)
     val = _pair_mono(rest, acc, alg)
     return -val if sign_exp & 1 else val
 

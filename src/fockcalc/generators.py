@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from . import fock
-from ._rat import Rat, RAT_ONE
+from ._rat import ratio
 from .errors import DomainError, OracleMissing
 from .fock import FockVector, axpy, extend, memo
 from .operators import (
@@ -63,7 +63,7 @@ def vacuum_unit(algebra, n):
         raise ValueError("n must be >= 0")
     unit = algebra.unit()
     vec = fock.canonicalize(algebra, [(1, unit)] * n)
-    return vec.scale(Rat(1, math.factorial(n)))
+    return vec.scale(ratio(1, math.factorial(n)))
 
 
 def b_class(i, gamma, n):
@@ -73,7 +73,7 @@ def b_class(i, gamma, n):
     algebra = gamma.algebra
     unit = algebra.unit()
     vec = fock.canonicalize(algebra, [(i + 1, gamma)] + [(1, unit)] * (n - i - 1))
-    vec = vec.scale(Rat(1, math.factorial(n - i - 1)))
+    vec = vec.scale(ratio(1, math.factorial(n - i - 1)))
     return GeneratorClass("B", i, gamma, n, vec)
 
 
@@ -105,7 +105,7 @@ def q1_kth_bracket(k, alpha):
 def _q1k_mono(algebra, k, color, mono):
     if k == 0:
         hit = fock.prepend_part(mono, 1, color, algebra)
-        return {} if hit is None else {hit[0]: Rat(hit[1])}
+        return {} if hit is None else {hit[0]: hit[1]}
     # [d, q_1^(k-1)](mono) = d(q1^(k-1) mono) - q1^(k-1)(d mono)
     acc = {}
     for m, c in _q1k_mono(algebra, k - 1, color, mono).items():
@@ -138,14 +138,14 @@ def _gk_mono(algebra, k, gcolor, mono):
     (_, bcolor), rest = mono[0], mono[1:]
     acc = {}
     # 1/k! q_1^(k)(gamma * b) applied to the rest
-    inv_kfact = Rat(1, math.factorial(k))
+    inv_kfact = ratio(1, math.factorial(k))
     for pcolor, pcoeff in algebra.mul_basis(gcolor, bcolor).items():
         axpy(acc, _q1k_mono(algebra, k, pcolor, rest), inv_kfact * pcoeff)
     # Koszul passthrough
     sign = -1 if (algebra.parities[gcolor] and algebra.parities[bcolor]) else 1
     inner = _gk_mono(algebra, k, gcolor, rest)
     if inner:
-        fock.create_into(acc, 1, bcolor, inner, Rat(sign), algebra)
+        fock.create_into(acc, 1, bcolor, inner, sign, algebra)
     return acc
 
 
@@ -155,7 +155,7 @@ def g_class(k, gamma, n):
         raise IndexError(f"g_class needs k >= 0 and n >= 1, got k={k}, n={n}")
     algebra = gamma.algebra
     base = fock.canonicalize(algebra, [(1, algebra.unit())] * n)
-    vec = apply_formal_g(k, gamma, base).scale(Rat(1, math.factorial(n)))
+    vec = apply_formal_g(k, gamma, base).scale(ratio(1, math.factorial(n)))
     return GeneratorClass("G", k, gamma, n, vec)
 
 
@@ -261,7 +261,7 @@ def commutator_expand(g, a, mono, bracket_oracle=None):
 
 def _creation_terms(algebra, size, color, v):
     acc = {}
-    fock.create_into(acc, size, color, v.terms, RAT_ONE, algebra)
+    fock.create_into(acc, size, color, v.terms, 1, algebra)
     return acc
 
 
@@ -275,7 +275,7 @@ def _nested_bracket_instance(k, gamma, alphas, monomials, params):
     if len(alphas) != k + 1:
         raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
     prod = mul(gamma, alphas[0])
-    lhs = q1_kth_bracket(k, prod) * Rat(1, math.factorial(k))
+    lhs = q1_kth_bracket(k, prod) * ratio(1, math.factorial(k))
     for a in alphas[1:]:
         lhs = supercommutator(lhs, q(1, a))
         prod = mul(prod, a)
@@ -328,14 +328,14 @@ def filtration_compare(i, gamma, n):
     if not 1 <= i < n:
         raise IndexError(f"filtration_compare needs 1 <= i < n, got i={i}, n={n}")
     algebra = gamma.algebra
-    if len(gamma.coeffs) != 1 or RAT_ONE not in set(gamma.coeffs.values()):
+    if len(gamma.coeffs) != 1 or 1 not in gamma.coeffs.values():
         raise DomainError("filtration_compare expects a basis class gamma")
     gcolor = next(iter(gamma.coeffs))
     bvec = b_class(i, gamma, n).value
     gvec = g_class(i, gamma, n).value
-    diff = bvec - gvec.scale(Rat((-1) ** i * math.factorial(i + 1)))
+    diff = bvec - gvec.scale((-1) ** i * math.factorial(i + 1))
     lead = tuple([(i + 1, gcolor)] + [(1, algebra.unit_index)] * (n - i - 1))
-    expected = Rat((-1) ** i, math.factorial(i + 1) * math.factorial(n - i - 1))
+    expected = ratio((-1) ** i, math.factorial(i + 1) * math.factorial(n - i - 1))
     return FiltrationReport(
         i=i, n=n, gamma=gamma,
         support_ok=fock.fh_support_bound(diff, i - 1),

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import _linalg, fock
-from ._rat import Rat, RAT_ONE
+from ._rat import exact, ratio
 from .errors import MixedDegree, SingularGram
 from .fock import FockVector, axpy, contract_into, create_into, extend, memo
 from .surface import integral, mul
@@ -57,9 +57,6 @@ class LinearOperator:
     def __call__(self, v):
         return FockVector(self.algebra, self.fn(v.terms))
 
-    def apply(self, v):
-        return self(v)
-
     def bidegree(self):
         if self.degree is None:
             raise MixedDegree(f"operator {self.name or '?'} has mixed degree")
@@ -85,7 +82,7 @@ class LinearOperator:
         return self + (-1) * other
 
     def __mul__(self, scalar):
-        s = Rat(scalar)
+        s = exact(scalar)
 
         def fn(terms, base=self.fn):
             if not s:
@@ -178,9 +175,6 @@ def q(n, alpha):
 # -- Virasoro -----------------------------------------------------------------
 
 
-_HALF = Rat(1, 2)
-
-
 @memo("L")
 def _virasoro_mono(algebra, n, color, mono):
     """L_n(e_color) applied to one monomial.
@@ -188,11 +182,12 @@ def _virasoro_mono(algebra, n, color, mono):
     The orders (m, n-m) and (n-m, m) of a pair give equal terms: the diagonal
     is supersymmetric, q_m and q_{n-m} supercommute for n != 0, and L_0 is
     normal ordered.  So each unordered pair is applied once, annihilation
-    first, with weight 1, and the diagonal m = n - m with weight 1/2.  No
-    intermediate outweighs the larger of the monomial and the result.
+    first, with weight 1, and the diagonal m = n - m with weight 1/2: the sum
+    is taken with weights 2 and 1 and halved at the end, the one division.
+    No intermediate outweighs the larger of the monomial and the result.
     """
     w = fock.weight(mono)
-    terms = {mono: RAT_ONE}
+    terms = {mono: 1}
     acc = {}
     triples = algebra.kunneth_triples(color)
     for m2 in range(-w, n // 2 + 1):  # q_{m2} acts first, then q_{n-m2}
@@ -201,13 +196,13 @@ def _virasoro_mono(algebra, n, color, mono):
             continue
         outer, size1 = _q_kernel(m1)
         inner_kernel, size2 = _q_kernel(m2)
-        scale = _HALF if m1 == m2 else RAT_ONE
+        scale = 1 if m1 == m2 else 2
         for u, v, t in triples:
             inner = {}
             inner_kernel(inner, size2, v, terms, t, algebra)
             if inner:
                 outer(acc, size1, u, inner, scale, algebra)
-    return acc
+    return {m: ratio(c, 2) for m, c in acc.items()}
 
 
 def virasoro(n, alpha):
@@ -238,17 +233,17 @@ def _boundary_mono(algebra, mono):
     if not mono:
         return {}
     (size, color), rest = mono[0], mono[1:]
-    rest_terms = {rest: RAT_ONE}
+    rest_terms = {rest: 1}
     # i * L_i(e_color) rest
     acc = axpy({}, _virasoro_mono(algebra, size, color, rest), size)
     # i(i-1)/2 * q_i(K * e_color) rest
     if size > 1:
         k_alpha = mul(algebra.canonical_class, algebra.basis_element(color))
-        factor = Rat(size * (size - 1), 2)
+        factor = size * (size - 1) // 2
         for kc, kcoeff in k_alpha.coeffs.items():
             create_into(acc, size, kc, rest_terms, factor * kcoeff, algebra)
     # q_i(e_color) d(rest)
-    create_into(acc, size, color, _boundary_mono(algebra, rest), RAT_ONE, algebra)
+    create_into(acc, size, color, _boundary_mono(algebra, rest), 1, algebra)
     return acc
 
 
@@ -257,7 +252,7 @@ def boundary_d(algebra):
     realized through its creation-operator recursion.  Bidegree (0, 2)."""
 
     def fn(terms):
-        return extend(_boundary_mono, algebra, (((), None),), terms)
+        return extend(_boundary_mono, algebra, (((), 1),), terms)
 
     return LinearOperator(algebra, fn, 0, 2, 0, "d")
 
@@ -289,8 +284,8 @@ def gram_matrix(algebra, n, i):
     cols_basis = fock.monomial_basis(n, algebra, degree_filter=comp)
     rows = []
     for a in rows_basis:
-        u = FockVector(algebra, {a: RAT_ONE})
-        rows.append([fock.inner_product(u, FockVector(algebra, {b: RAT_ONE}))
+        u = FockVector(algebra, {a: 1})
+        rows.append([fock.inner_product(u, FockVector(algebra, {b: 1}))
                      for b in cols_basis])
     return rows, rows_basis, cols_basis
 
@@ -300,8 +295,8 @@ def operator_matrix(f, source_basis, target_basis):
     index = {m: k for k, m in enumerate(target_basis)}
     cols = []
     for mono in source_basis:
-        image = f(FockVector(f.algebra, {mono: RAT_ONE}))
-        col = [Rat(0)] * len(target_basis)
+        image = f(FockVector(f.algebra, {mono: 1}))
+        col = [0] * len(target_basis)
         for m, c in image.terms.items():
             if m not in index:
                 raise ValueError("image leaves the expected bigraded piece")
@@ -336,14 +331,14 @@ def adjoint_matrix(f, source, truncation=None):
     gram = []
     f_of_a = []
     for a in test_basis:
-        va = FockVector(algebra, {a: RAT_ONE})
-        gram.append([fock.inner_product(va, FockVector(algebra, {t: RAT_ONE}))
+        va = FockVector(algebra, {a: 1})
+        gram.append([fock.inner_product(va, FockVector(algebra, {t: 1}))
                      for t in target_basis])
         f_of_a.append(f(va))
     sign = -1 if (m & 1) and ((4 * tn - ti) & 1) else 1
     rhs_cols = []
     for b in source_basis:
-        vb = FockVector(algebra, {b: RAT_ONE})
+        vb = FockVector(algebra, {b: 1})
         rhs_cols.append([sign * fock.inner_product(img, vb) for img in f_of_a])
     sol = _linalg.solve(gram, rhs_cols)
     if sol is None:
@@ -476,7 +471,7 @@ def _check_instances(report, algebra, instances, jobs=1):
         lhs, rhs, central = instance.lhs, instance.rhs, instance.central
         witnesses = []
         for mono in instance.monomials:
-            terms = {mono: RAT_ONE}
+            terms = {mono: 1}
             diff = lhs(terms)
             for scale, op in rhs:
                 axpy(diff, op(terms), -scale)
@@ -495,32 +490,6 @@ def _check_instances(report, algebra, instances, jobs=1):
     return report
 
 
-def _heis_creation_fast(algebra, n, ca, m, cb, sign):
-    """The map of [q_n(e_ca), q_m(e_cb)] for n, m > 0, without dict churn:
-    each order of the two prepends yields at most one signed monomial."""
-    prepend = fock.prepend_part
-
-    def fn(terms):
-        acc = {}
-        for mono, c in terms.items():
-            hit = prepend(mono, m, cb, algebra)
-            left = hit and prepend(hit[0], n, ca, algebra)
-            if left:
-                left = (left[0], left[1] * hit[1])
-            hit = prepend(mono, n, ca, algebra)
-            right = hit and prepend(hit[0], m, cb, algebra)
-            if right:
-                right = (right[0], -sign * right[1] * hit[1])
-            if left and right and left[0] == right[0] and left[1] + right[1] == 0:
-                continue
-            for term in (left, right):
-                if term:
-                    axpy(acc, {term[0]: c * term[1]})
-        return acc
-
-    return fn
-
-
 def _pair_instance(n, m, a, b, lhs, rhs, central, monomials):
     return Instance(f"n={n},m={m}",
                     {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)},
@@ -533,17 +502,10 @@ def _index_range(bound):
 
 def _heisenberg(algebra, bound, classes, monomials):
     idx = _index_range(bound)
-    basis = all(len(a.coeffs) == 1 and RAT_ONE in a.coeffs.values()
-                for a in classes)
     for n, m, a, b in itertools.product(idx, idx, classes, classes):
-        if basis and n > 0 and m > 0:
-            (ca,), (cb,) = a.coeffs, b.coeffs
-            sign = -1 if algebra.parities[ca] and algebra.parities[cb] else 1
-            lhs = _heis_creation_fast(algebra, n, ca, m, cb, sign)
-        else:
-            lhs = supercommutator(q(n, a), q(m, b)).fn
         central = n * integral(mul(a, b)) if n + m == 0 else 0
-        yield _pair_instance(n, m, a, b, lhs, (), central, monomials)
+        yield _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn,
+                             (), central, monomials)
 
 
 def _lq(algebra, bound, classes, monomials):
@@ -561,7 +523,7 @@ def _ll(algebra, bound, classes, monomials):
         ab = mul(a, b)
         central = 0
         if n + m == 0:
-            central = -Rat(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
+            central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
         rhs = ((n - m, virasoro(n + m, ab).fn),) if n != m else ()
         yield _pair_instance(n, m, a, b,
                              supercommutator(virasoro(n, a), virasoro(m, b)).fn,
@@ -570,7 +532,7 @@ def _ll(algebra, bound, classes, monomials):
 
 def _qprime(algebra, bound, classes, monomials):
     for n, a in itertools.product(_index_range(bound), classes):
-        k_scale = Rat(n * (abs(n) - 1), 2)
+        k_scale = n * (abs(n) - 1) // 2
         rhs = ((n, virasoro(n, a).fn),)
         if k_scale:
             rhs += ((k_scale, q(n, mul(algebra.canonical_class, a)).fn),)
@@ -602,7 +564,7 @@ def _sample_colors(algebra, picks):
     return sorted(set(picks))
 
 
-def _expansion(algebra, max_weight, max_index, classes):
+def _expansion(algebra, max_weight):
     # generators imports this module, so it is imported at call time
     from .generators import commutator_expand
 
@@ -626,7 +588,7 @@ def _expansion(algebra, max_weight, max_index, classes):
     return {"operators": "q_2, L_1, L_0(1), d", "a": "<=3"}, instances
 
 
-def _nested_bracket(algebra, max_weight, max_index, classes):
+def _nested_bracket(algebra, max_weight):
     from .generators import _nested_bracket_instance
 
     unit = algebra.unit()
@@ -645,7 +607,9 @@ def _nested_bracket(algebra, max_weight, max_index, classes):
 
 
 # suite name -> entry(algebra, max_weight, max_index, classes), which returns
-# the report parameters and an iterable of the identity instances
+# the report parameters and an iterable of the identity instances; the
+# entries of the INDEX_FREE suites take only (algebra, max_weight)
+INDEX_FREE = ("expansion", "nested_bracket")
 SUITES = {
     "heisenberg": _index_suite(_heisenberg, 3),
     "Lq": _index_suite(_lq, 2),
@@ -676,11 +640,17 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
 
     The first four run over |n|, |m| <= max_index (a per-suite default) and
     pairs of `classes`, which default to the full basis (even basis only for
-    "LL"); "expansion" and "nested_bracket" ignore both.  Checks run on every
-    basis monomial of weight <= max_weight.
+    "LL"); "expansion" and "nested_bracket" take neither, and ValueError is
+    raised when either is given.  Checks run on every basis monomial of
+    weight <= max_weight.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    params, instances = SUITES[suite](algebra, max_weight, max_index, classes)
+    if suite in INDEX_FREE:
+        if max_index is not None or classes is not None:
+            raise ValueError(f"suite {suite!r} takes no max_index or classes")
+        params, instances = SUITES[suite](algebra, max_weight)
+    else:
+        params, instances = SUITES[suite](algebra, max_weight, max_index, classes)
     report = Report(suite, algebra.name, params, max_weight)
     return _check_instances(report, algebra, instances, jobs)

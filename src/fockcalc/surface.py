@@ -5,9 +5,11 @@ structure constants, a linear integral supported in the top degree, and a
 canonical class.  From these we derive the Poincare pairing, the dual basis,
 the Kunneth expansion of the diagonal pushforward, and the Euler class.
 
-Everything is exact rational arithmetic.  Instances are immutable after
-loading and can be shared freely; their operator memo tables only memoize
-pure computations and are emptied when the weight cap changes.
+Everything is exact rational arithmetic, int first (see _rat): on the
+shipped presets the product table, the integral, the pairing, the dual
+basis, the Kunneth triples and the Euler class are all ints.  Instances are
+immutable after loading and can be shared freely; their operator memo tables
+only memoize pure computations and are emptied when the weight cap changes.
 """
 
 import json
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import _linalg
-from ._rat import Rat, parse_rat
+from ._rat import exact, parse_rat
 from .errors import (
     AxiomViolation,
     DegreeError,
@@ -76,7 +78,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
 
     def scale(self, scalar):
-        s = Rat(scalar)
+        s = exact(scalar)
         return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs.items()})
 
     __rmul__ = scale
@@ -146,7 +148,7 @@ class SurfaceAlgebra:
     # -- basic queries ----------------------------------------------------
 
     def unit(self):
-        return AlgebraElement(self, {self.unit_index: Rat(1)})
+        return AlgebraElement(self, {self.unit_index: 1})
 
     def zero(self):
         return AlgebraElement(self, {})
@@ -157,7 +159,7 @@ class SurfaceAlgebra:
             if key not in self.index_of:
                 raise UnknownBasisId(f"{self.name}: no basis class {key!r}")
             key = self.index_of[key]
-        return AlgebraElement(self, {key: Rat(1)})
+        return AlgebraElement(self, {key: 1})
 
     def basis_elements(self):
         return [self.basis_element(i) for i in range(self.dim)]
@@ -171,7 +173,7 @@ class SurfaceAlgebra:
         for key, c in coeffs_by_id.items():
             if key not in self.index_of:
                 raise UnknownBasisId(f"{self.name}: no basis class {key!r}")
-            out[self.index_of[key]] = Rat(c)
+            out[self.index_of[key]] = exact(c)
         return AlgebraElement(self, out)
 
     def mul_basis(self, i, j):
@@ -179,11 +181,8 @@ class SurfaceAlgebra:
         return self.product[i].get(j, {})
 
     def _integrate_product(self, i, j):
-        return sum((c * self.integral_vec[k]
-                    for k, c in self.mul_basis(i, j).items()), Rat(0))
-
-    def clear_caches(self):
-        self._op_caches.clear()
+        return sum(c * self.integral_vec[k]
+                   for k, c in self.mul_basis(i, j).items())
 
     # -- derived structure -------------------------------------------------
 
@@ -232,7 +231,7 @@ class SurfaceAlgebra:
                 row.append(sign * self.pairing[u][b] * self.pairing[v][c])
             matrix.append(row)
             # int(e_i e_b e_c)
-            val = Rat(0)
+            val = 0
             for k, ck in self.mul_basis(i, b).items():
                 val += ck * self._integrate_product(k, c)
             rhs.append(val)
@@ -267,8 +266,7 @@ def mul(a, b):
 
 def integral(a):
     """The integral functional; nonzero only through top-degree components."""
-    return sum((c * a.algebra.integral_vec[i] for i, c in a.coeffs.items()),
-               Rat(0))
+    return sum(c * a.algebra.integral_vec[i] for i, c in a.coeffs.items())
 
 
 def dual_basis(algebra):
@@ -382,13 +380,13 @@ def _build(doc):
     table = [dict() for _ in range(dim)]
     unit_row = {}
     for i in range(dim):
-        cell = {i: Rat(1)}
+        cell = {i: 1}
         unit_row[i] = cell
         table[i][unit_index] = cell
     table[unit_index] = unit_row
     for (i, j), cell in listed.items():
         if i == unit_index or j == unit_index:
-            expect = {j if i == unit_index else i: Rat(1)}
+            expect = {j if i == unit_index else i: 1}
             if cell != expect:
                 raise AxiomViolation(f"{name}: unit law fails on listed product")
             continue
@@ -434,7 +432,7 @@ def _build(doc):
                         f"{name}: associativity fails on "
                         f"({basis[i].id},{basis[j].id},{basis[k].id})")
 
-    integral_vec = [Rat(0)] * dim
+    integral_vec = [0] * dim
     for idx, c in _parse_combination(ids, doc["integral"], "integral").items():
         integral_vec[idx] = c
     top = max(degrees)
@@ -499,7 +497,7 @@ def parse_element(algebra, text):
             coeff_text, _, bid = term.partition("*")
             coeff = parse_rat(coeff_text)
         elif term in algebra.index_of:
-            coeff, bid = Rat(1), term
+            coeff, bid = 1, term
         else:
             # bare rational multiplies the unit
             try:

@@ -131,6 +131,15 @@ def test_verify_multi_suite(capsys):
     assert record["passed"] is True and len(record["suites"]) == 2
 
 
+def test_verify_max_index_needs_an_indexed_suite(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "expansion,nested_bracket",
+                       "--algebra", "p2", "--max-weight", "1", "--max-index", "2")
+    assert code == 2 and "--max-index does not apply" in err
+    code, out, _ = run(capsys, "verify", "--suite", "heisenberg,expansion",
+                       "--algebra", "p2", "--max-weight", "1", "--max-index", "1")
+    assert code == 0 and out.count("result: PASS") == 2
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus", "--algebra", "p2")
     assert code == 2 and "unknown suite" in err

@@ -219,7 +219,7 @@ def test_adjoint_of_q_is_signed_annihilation(p2):
         for piece in (((2, 2)), ((3, 4))):
             w, i = piece
             mat, src, tgt = adjoint_matrix(q(n, h), (w, i))
-            direct = q(-n, h) * ((-1) ** n)
+            direct = q(-n, h) * (-1) ** abs(n)
             if not tgt:
                 for v in src:
                     img = direct(FockVector(p2, {v: Rat(1)}))
@@ -305,6 +305,15 @@ def test_suites_pass_on_p2(p2, suite):
     rep = verify_relations(suite, p2, max_weight=3, max_index=2)
     assert rep.passed, rep.render_text()
     assert rep.checked > 0
+
+
+@pytest.mark.parametrize("suite", ["expansion", "nested_bracket"])
+def test_index_free_suites_reject_index_options(torus, suite):
+    with pytest.raises(ValueError, match="max_index or classes"):
+        verify_relations(suite, torus, max_weight=1, max_index=7)
+    with pytest.raises(ValueError, match="max_index or classes"):
+        verify_relations(suite, torus, max_weight=1,
+                         classes=[torus.basis_element("x1")])
 
 
 def test_ll_central_term_example(p2):
