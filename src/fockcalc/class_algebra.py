@@ -124,9 +124,6 @@ def permutations_of_type(lam, n):
                     perm[cycle[k]] = cycle[(k + 1) % size]
                 leftover = [x for x in rest if x not in tail]
                 yield from rec(nxt, leftover, perm)
-            for k in range(size):
-                perm[anchor] = anchor
-        perm[anchor] = anchor
 
     yield from rec(list(lam), list(range(n)), list(range(n)))
 

@@ -65,6 +65,8 @@ def cmd_algebra_validate(args):
 def cmd_verify(args):
     algebra = resolve_algebra(args.algebra)
     suites = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suites:
+        raise ValueError(f"no suite selected by {args.suite!r}")
     for suite in suites:
         if suite not in VERIFY_SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from "

@@ -20,7 +20,6 @@ iterated commutators (commutator_expand), the nested-bracket identity checker
 nested_bracket_check, and the B-vs-G filtration comparison.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +34,7 @@ from .operators import (
     _basis_monomials_upto,
     _boundary_mono,
     _check_instances,
+    _grading,
     q,
     supercommutator,
     zero_operator,
@@ -93,10 +93,7 @@ def q1_kth_bracket(k, alpha):
     def fn(terms):
         return extend(_q1k_mono, algebra, keyed, terms)
 
-    adeg = alpha.degree()
-    degree = None if adeg is None else adeg + 2 * k
-    parities = {algebra.parities[c] for c in alpha.coeffs}
-    parity = parities.pop() if len(parities) == 1 else None
+    degree, parity = _grading(alpha, 2 * k)
     return LinearOperator(algebra, fn, 1, degree, parity,
                           f"q_1^({k})({alpha!r})")
 
@@ -180,13 +177,19 @@ def default_bracket_oracle(g):
 
 
 def commutator_expand(g, a, mono, bracket_oracle=None):
-    """Expand g(q_{m_1}(b_1) ... q_{m_b}(b_b)|0>) into iterated commutators.
+    """Expand g(x_1 ... x_b|0>), x_j = q_{m_j}(b_j), into iterated commutators.
 
-    Commutators of depth < a are pushed all the way to the vacuum; depth-a
-    commutators stop in place after their last selected factor.  Koszul signs
-    track the moving operator's parity across the unselected factors it
-    passes.  The result equals g applied to the monomial whenever g is fully
-    evaluable; `a` must satisfy 1 <= a <= number of factors.
+    One Koszul step per factor, from the left: with B the bracket of g with
+    the factors selected so far,
+
+      B x_j w = [B, x_j] w + (-1)^{|B| |x_j|} x_j B w.
+
+    A branch stops once it has selected `a` factors or passed the last one,
+    and there applies bracket_oracle(selected) to the rest x_{j+1} ... x_b|0>.
+    So commutators of depth < a are pushed all the way to the vacuum, and
+    depth-a commutators stop in place after their last selected factor.  The
+    result equals g applied to the monomial whenever g is fully evaluable;
+    `a` must satisfy 1 <= a <= number of factors.
     """
     algebra = g.algebra
     if g.parity is None:
@@ -199,70 +202,25 @@ def commutator_expand(g, a, mono, bracket_oracle=None):
         raise ValueError("factors must be creation parts")
     if bracket_oracle is None:
         bracket_oracle = default_bracket_oracle(g)
-    parities = [algebra.parities[c] for _, c in parts]
-    s = g.parity
-    vacuum = FockVector.vacuum(algebra)
-    total = FockVector.zero(algebra)
+    # tails[j] = parts[j:] applied to the vacuum
+    tails = [{(): 1}]
+    for size, color in reversed(parts):
+        tail = {}
+        fock.create_into(tail, size, color, tails[-1], 1, algebra)
+        tails.append(tail)
+    tails.reverse()
 
-    def segment_sign(selected, upto_last):
-        """Koszul sign exponent from moving the bracket rightwards.
+    def expand(j, selected, parity):
+        if len(selected) == a or j == b:
+            return bracket_oracle(selected)(FockVector(algebra, tails[j])).terms
+        size, color = parts[j]
+        odd = algebra.parities[color]
+        acc = {}
+        fock.create_into(acc, size, color, expand(j + 1, selected, parity),
+                         -1 if parity and odd else 1, algebra)
+        return axpy(acc, expand(j + 1, selected + (parts[j],), parity ^ odd))
 
-        Segment k (positions between the k-th and (k+1)-th selection) is
-        crossed with parity s + sum of the first k selected parities; when
-        `upto_last` the walk stops at the last selected position, otherwise it
-        continues past the end.
-        """
-        exp = 0
-        moving = s
-        bounds = [-1] + list(selected)
-        for kseg in range(len(selected) + (0 if upto_last else 1)):
-            lo = bounds[kseg]
-            hi = bounds[kseg + 1] if kseg + 1 < len(bounds) else b
-            if kseg > 0:
-                moving = (moving + parities[selected[kseg - 1]]) & 1
-            if moving:
-                for p in range(lo + 1, hi):
-                    if p not in selected_set and parities[p]:
-                        exp ^= 1
-        return exp
-
-    for i in range(a):
-        for selected in itertools.combinations(range(b), i):
-            selected_set = set(selected)
-            op = bracket_oracle(tuple(parts[p] for p in selected))
-            w = op(vacuum)
-            if w.is_zero():
-                continue
-            exp = segment_sign(selected, upto_last=False)
-            for p in reversed([p for p in range(b) if p not in selected_set]):
-                size, color = parts[p]
-                w = FockVector(algebra, _creation_terms(algebra, size, color, w))
-            total = total + (w if exp == 0 else -w)
-
-    for selected in itertools.combinations(range(b), a):
-        selected_set = set(selected)
-        last = selected[-1]
-        op = bracket_oracle(tuple(parts[p] for p in selected))
-        w = vacuum
-        for p in reversed(range(last + 1, b)):
-            size, color = parts[p]
-            w = FockVector(algebra, _creation_terms(algebra, size, color, w))
-        w = op(w)
-        if w.is_zero():
-            continue
-        for p in reversed([p for p in range(last) if p not in selected_set]):
-            size, color = parts[p]
-            w = FockVector(algebra, _creation_terms(algebra, size, color, w))
-        exp = segment_sign(selected, upto_last=True)
-        total = total + (w if exp == 0 else -w)
-
-    return total
-
-
-def _creation_terms(algebra, size, color, v):
-    acc = {}
-    fock.create_into(acc, size, color, v.terms, 1, algebra)
-    return acc
+    return FockVector(algebra, expand(0, (), g.parity))
 
 
 # -- nested-bracket identity and filtration reports ----------------------------

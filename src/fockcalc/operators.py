@@ -150,12 +150,22 @@ def _q_kernel(n):
     return (create_into, n) if n > 0 else (contract_into, -n)
 
 
+def _grading(alpha, offset):
+    """(offset + deg alpha, parity) of an operator family built on the class
+    alpha.  The degree is None when alpha is zero or mixes degrees; the parity
+    is None when alpha mixes parities, and 0 when alpha is zero."""
+    adeg = alpha.degree()
+    parities = {alpha.algebra.parities[c] for c in alpha.coeffs} or {0}
+    return (None if adeg is None else offset + adeg,
+            parities.pop() if len(parities) == 1 else None)
+
+
 def q(n, alpha):
     """The Heisenberg operator q_n(alpha); q_0 is the zero operator."""
     algebra = alpha.algebra
+    degree, parity = _grading(alpha, 2 * (n - 1))
     if n == 0 or alpha.is_zero():
-        deg = alpha.degree()
-        return zero_operator(algebra, n, None if deg is None else 2 * (n - 1) + deg)
+        return zero_operator(algebra, n, degree)
     items = tuple(alpha.coeffs.items())
     kernel, size = _q_kernel(n)
 
@@ -165,10 +175,6 @@ def q(n, alpha):
             kernel(acc, size, color, terms, coeff, algebra)
         return acc
 
-    adeg = alpha.degree()
-    degree = None if adeg is None else 2 * (n - 1) + adeg
-    parities = {algebra.parities[c] for c in alpha.coeffs}
-    parity = parities.pop() if len(parities) == 1 else None
     return LinearOperator(algebra, fn, n, degree, parity, f"q_{n}({alpha!r})")
 
 
@@ -217,10 +223,7 @@ def virasoro(n, alpha):
     def fn(terms):
         return extend(_virasoro_mono, algebra, keyed, terms)
 
-    adeg = alpha.degree()
-    degree = None if adeg is None else 2 * n + adeg
-    parities = {algebra.parities[c] for c in alpha.coeffs}
-    parity = parities.pop() if len(parities) == 1 else (0 if alpha.is_zero() else None)
+    degree, parity = _grading(alpha, 2 * n)
     return LinearOperator(algebra, fn, n, degree, parity, f"L_{n}({alpha!r})")
 
 
@@ -321,20 +324,13 @@ def adjoint_matrix(f, source, truncation=None):
     tn, ti = n - shift, i + m - 4 * shift
     if tn < 0:
         return [[] for _ in source_basis], source_basis, []
-    target_basis = fock.monomial_basis(tn, algebra, degree_filter=ti)
-    # test piece A pairs with the target: weight tn, degree 4 tn - ti
-    test_basis = fock.monomial_basis(tn, algebra, degree_filter=4 * tn - ti)
+    # the test piece pairs with the target: weight tn, degree 4 tn - ti
+    gram, test_basis, target_basis = gram_matrix(algebra, tn, 4 * tn - ti)
     if len(test_basis) != len(target_basis):
         raise SingularGram(f"pieces ({tn},{ti}) are not dual-dimensional")
     if not target_basis:
         return [[] for _ in source_basis], source_basis, target_basis
-    gram = []
-    f_of_a = []
-    for a in test_basis:
-        va = FockVector(algebra, {a: 1})
-        gram.append([fock.inner_product(va, FockVector(algebra, {t: 1}))
-                     for t in target_basis])
-        f_of_a.append(f(va))
+    f_of_a = [f(FockVector(algebra, {a: 1})) for a in test_basis]
     sign = -1 if (m & 1) and ((4 * tn - ti) & 1) else 1
     rhs_cols = []
     for b in source_basis:
@@ -464,7 +460,8 @@ def _check_instances(report, algebra, instances, jobs=1):
     """Check every instance on each of its monomials and fill `report`.
 
     Discrepancies are recorded in instance order, then monomial order, so
-    the report is the same for any `jobs`."""
+    the report is the same for any `jobs`.  A sweep that checks nothing
+    proves nothing: it raises ValueError instead of passing."""
     start = time.perf_counter()
 
     def run(instance):
@@ -486,6 +483,9 @@ def _check_instances(report, algebra, instances, jobs=1):
         for mono, diff in witnesses:
             report.record(params, fock.render_monomial(mono, algebra),
                           fock.render_vector(FockVector(algebra, diff)))
+    if not report.checked:
+        raise ValueError(f"{report.suite} on {report.algebra} checked nothing "
+                         f"with {report.params} at weight {report.truncation}")
     report.wall_time = time.perf_counter() - start
     return report
 
@@ -642,7 +642,7 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
     pairs of `classes`, which default to the full basis (even basis only for
     "LL"); "expansion" and "nested_bracket" take neither, and ValueError is
     raised when either is given.  Checks run on every basis monomial of
-    weight <= max_weight.
+    weight <= max_weight; a sweep left with no check raises ValueError.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")

@@ -145,6 +145,26 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--suite", ","),
+    ("--suite", "heisenberg", "--max-weight", "-1"),
+    ("--suite", "heisenberg", "--max-index", "0"),
+    ("--suite", "Lq", "--max-index", "-2"),
+    ("--suite", "heisenberg,expansion", "--max-weight", "0"),
+])
+def test_verify_that_checks_nothing_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, "verify", "--algebra", "p2", *argv)
+    assert code == 2 and out == ""
+    assert "ValueError" in err
+
+
+def test_verify_ll_at_index_zero_still_checks(capsys):
+    # [L_0(a), L_0(b)] = 0 is an identity with checks, not an empty sweep
+    code, out, _ = run(capsys, "verify", "--suite", "LL", "--algebra", "p2",
+                       "--max-weight", "2", "--max-index", "0")
+    assert code == 0 and "result: PASS" in out and "checked: 0 " not in out
+
+
 def test_verify_per_instance_counts(capsys):
     code, out, _ = run(capsys, "--format", "structured", "verify", "--suite",
                        "qprime", "--algebra", "p2", "--max-weight", "2",

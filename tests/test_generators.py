@@ -183,6 +183,32 @@ def test_expansion_oracle_paths(p2, torus):
         commutator_expand(q(2, p2.unit()), 1, ((1, 0),), bracket_oracle=refusing)
 
 
+def test_expansion_places_and_signs_each_bracket(p2, torus):
+    # every bracket is tagged by its own scalar, so each term of the
+    # expansion is pinned, not only their sum
+    from fockcalc import identity_operator
+
+    def tagging(alg, tags):
+        return lambda selected: identity_operator(alg) * tags[selected]
+
+    x2, x3 = (1, torus.index_of["x2"]), (1, torus.index_of["x3"])
+    oracle = tagging(torus, {(): 2, (x2,): 3, (x3,): 5, (x2, x3): 7})
+    g = q(1, torus.basis_element("x1"))
+    # the odd g passes the odd q_1(x2) on its way to q_1(x3)
+    at_1 = {(x2, x3): 2, (x3,): 3, (x2,): -5}
+    assert commutator_expand(g, 1, (x2, x3), oracle) == FockVector(torus, at_1)
+    assert commutator_expand(g, 2, (x2, x3), oracle) == FockVector(
+        torus, {**at_1, (): 7})
+
+    one, h = (2, p2.index_of["1"]), (1, p2.index_of["h"])
+    oracle = tagging(p2, {(): 2, (one,): 3, (h,): 5, (one, h): 7})
+    g = q(2, p2.unit())
+    at_1 = {(one, h): 2, (h,): 3, (one,): 5}
+    assert commutator_expand(g, 1, (one, h), oracle) == FockVector(p2, at_1)
+    assert commutator_expand(g, 2, (one, h), oracle) == FockVector(
+        p2, {**at_1, (): 7})
+
+
 def test_fh_bound_of_b_classes(p2):
     # B_i has a single monomial with sum(size-1) = i
     h = p2.basis_element("h")

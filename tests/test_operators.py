@@ -12,6 +12,7 @@ from fockcalc import (
     derivative,
     identity_operator,
     monomial_basis,
+    nested_bracket_check,
     operator_matrix,
     q,
     supercommutator,
@@ -314,6 +315,15 @@ def test_index_free_suites_reject_index_options(torus, suite):
     with pytest.raises(ValueError, match="max_index or classes"):
         verify_relations(suite, torus, max_weight=1,
                          classes=[torus.basis_element("x1")])
+
+
+def test_sweeps_that_check_nothing_raise(p2):
+    with pytest.raises(ValueError, match="checked nothing"):
+        verify_relations("heisenberg", p2, max_weight=2, classes=[])
+    with pytest.raises(ValueError, match="checked nothing"):
+        verify_relations("qprime", p2, max_weight=-1)
+    with pytest.raises(ValueError, match="checked nothing"):
+        nested_bracket_check(0, p2.unit(), [p2.unit()], p2, -1)
 
 
 def test_ll_central_term_example(p2):
