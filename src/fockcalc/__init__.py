@@ -46,7 +46,6 @@ from .fock import (
     inner_product,
     max_weight,
     monomial_basis,
-    partitions_of,
     render_vector,
     set_max_weight,
 )
@@ -87,6 +86,7 @@ from .class_algebra import (
     fh_degree,
     generation_closure,
     partition_count,
+    partitions_of,
 )
 
 __version__ = "0.1.0"

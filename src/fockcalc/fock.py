@@ -15,10 +15,8 @@ those images in per-algebra tables that respect the weight cap.
 """
 
 import functools
-import itertools
 
 from ._rat import exact
-from .class_algebra import partitions_of
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -292,36 +290,20 @@ def monomial_basis(n, algebra, degree_filter=None):
     parities = algebra.parities
     dim = algebra.dim
 
-    def color_multisets(count):
-        return itertools.combinations_with_replacement(range(dim), count)
-
-    for partition in partitions_of(n):
-        groups = []
-        for size, mult in _run_lengths(partition):
-            choices = [combo for combo in color_multisets(mult)
-                       if _no_odd_repeat(combo, parities)]
-            groups.append((size, choices))
-        for assignment in itertools.product(*(ch for _, ch in groups)):
-            mono = []
-            for (size, _), combo in zip(groups, assignment):
-                mono.extend((size, c) for c in combo)
-            mono = tuple(mono)
+    def extend(mono, remaining, size, lo):
+        # the next part (s, c) keeps canonical order: s <= size, and c >= lo
+        # when s == size, where lo skips the last color if it is odd
+        if not remaining:
             if degree_filter is None or degree(mono, algebra) == degree_filter:
                 out.append(mono)
+            return
+        for s in range(min(size, remaining), 0, -1):
+            for c in range(lo if s == size else 0, dim):
+                extend(mono + ((s, c),), remaining - s, s, c + parities[c])
+
+    extend((), n, n, 0)
     out.sort(key=sort_key)
     return out
-
-
-def _no_odd_repeat(combo, parities):
-    for a, b in zip(combo, combo[1:]):
-        if a == b and parities[a]:
-            return False
-    return True
-
-
-def _run_lengths(partition):
-    for size, grp in itertools.groupby(partition):
-        yield size, sum(1 for _ in grp)
 
 
 def inner_product(u, v):

@@ -308,7 +308,7 @@ def operator_matrix(f, source_basis, target_basis):
     return cols
 
 
-def adjoint_matrix(f, source, truncation=None):
+def adjoint_matrix(f, source):
     """Matrix of the adjoint of f on the bigraded piece `source` = (n, i).
 
     Satisfies (f(a), b) = (-1)^{m deg a} (a, adjoint(b)) exactly.  Returns

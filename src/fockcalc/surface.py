@@ -131,13 +131,12 @@ class SurfaceAlgebra:
             [self._integrate_product(i, j) for j in range(self.dim)]
             for i in range(self.dim)
         ]
-        inverse = _linalg.invert([[self.pairing[i][j] for j in range(self.dim)]
-                                  for i in range(self.dim)])
-        if inverse is None:
-            raise SingularPairing(f"{name}: pairing matrix is singular")
         # duals[j] satisfies integral(e_i * duals[j]) = delta_ij
-        self._dual_coeffs = [[inverse[k][j] for k in range(self.dim)]
-                             for j in range(self.dim)]
+        self._dual_coeffs = _linalg.solve(
+            self.pairing, [[int(i == j) for i in range(self.dim)]
+                           for j in range(self.dim)])
+        if self._dual_coeffs is None:
+            raise SingularPairing(f"{name}: pairing matrix is singular")
         self._diagonal_cache = {}
         # {kind: {key: image}} memo tables of the operator workers, and the
         # weight cap they were filled under (see fock.memo)

@@ -19,9 +19,10 @@ from fockcalc import (
     render_vector,
     set_max_weight,
 )
-from fockcalc.fock import partitions_of, prepend_part
+from fockcalc.class_algebra import partitions_of
+from fockcalc.fock import prepend_part
 from fockcalc.operators import gram_matrix
-from fockcalc._linalg import rank
+from fockcalc._linalg import RowSpan
 
 
 def vec(alg, *parts):
@@ -174,6 +175,45 @@ def test_point_basis_counts_partitions(point):
         assert len(monomial_basis(n, point)) == len(partitions_of(n))
 
 
+def is_canonical(mono, parities):
+    """Sizes weakly decreasing, colors weakly increasing within a size, an
+    odd color at most once per size."""
+    for (s, c), (t, d) in zip(mono, mono[1:]):
+        if t > s or (t == s and (d < c or (d == c and parities[c]))):
+            return False
+    return True
+
+
+def closure_basis(n, alg):
+    """Independent enumeration: close {()} under prepend_part with parts of
+    total size n, keeping only canonical results with sign +1."""
+    by_weight = [{()}]
+    for w in range(1, n + 1):
+        level = set()
+        for size in range(1, w + 1):
+            for mono in by_weight[w - size]:
+                for color in range(alg.dim):
+                    hit = prepend_part(mono, size, color, alg)
+                    if hit and hit[1] == 1 and is_canonical(hit[0], alg.parities):
+                        level.add(hit[0])
+        by_weight.append(level)
+    return by_weight[n]
+
+
+def test_monomial_basis_equals_prepend_closure(p2, p1xp1, torus, point):
+    from fockcalc.fock import degree
+    for alg, top in ((p2, 4), (p1xp1, 4), (torus, 3), (point, 6)):
+        for n in range(top + 1):
+            expect = closure_basis(n, alg)
+            basis = monomial_basis(n, alg)
+            assert all(is_canonical(m, alg.parities) for m in basis), (alg.name, n)
+            assert len(set(basis)) == len(basis) and set(basis) == expect
+            degrees = {degree(m, alg) for m in expect}
+            for d in sorted(degrees) + [max(degrees) + 1]:
+                assert set(monomial_basis(n, alg, degree_filter=d)) == {
+                    m for m in expect if degree(m, alg) == d}, (alg.name, n, d)
+
+
 # -- inner product -----------------------------------------------------------------
 
 
@@ -219,7 +259,10 @@ def test_gram_nondegenerate_low_weight(p2, torus, point):
                 rows, rbasis, cbasis = gram_matrix(alg, n, i)
                 assert len(rbasis) == len(cbasis), (n, i)
                 if rbasis:
-                    assert rank(rows) == len(rbasis), (n, i)
+                    span = RowSpan(len(cbasis))
+                    for row in rows:
+                        span.add(row)
+                    assert span.dimension == len(rbasis), (n, i)
 
 
 # -- truncation --------------------------------------------------------------------
