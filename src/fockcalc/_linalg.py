@@ -1,8 +1,10 @@
-"""Exact row reduction over the rationals.
+"""Exact linear algebra over the rationals: sparse sums and row reduction.
 
-One routine serves every exact linear system of the package: `RowSpan`
-keeps a subspace in reduced row echelon form, and `solve` is a RowSpan of
-the augmented rows [A | B].  Vectors are lists of ints and Rats.  Each pivot
+`axpy` is the one sparse accumulate: every sum of {key: c} dicts goes
+through it, from algebra products to operator images.  One routine serves
+every exact linear system of the package: `RowSpan` keeps a subspace in
+reduced row echelon form, and `solve` is a RowSpan of the augmented rows
+[A | B].  Vectors are lists of ints and Rats.  Each pivot
 is inverted through `ratio`, never as `1 / x`, which would turn an int pivot
 into a float.  The pivot of a row is its first nonzero coordinate, scanned in
 coordinate order; the reduced echelon form is unique, so every derived object
@@ -11,6 +13,19 @@ byte-stable across runs.
 """
 
 from ._rat import ratio
+
+
+def axpy(acc, terms, scale=1):
+    """acc += scale * terms over sparse {key: c} dicts, dropping entries that
+    cancel.  Returns acc.
+    """
+    for key, c in terms.items():
+        val = acc.get(key, 0) + scale * c
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
 
 
 def solve(matrix, rhs_columns):

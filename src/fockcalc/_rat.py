@@ -7,7 +7,7 @@ goes through `ratio`: the pivots of _linalg and the explicit fractions 1/2,
 never enters: `exact` turns away anything but an int or a Rat.  Both backends
 store reduced fractions with positive denominator and stringify as
 "p/q"/"p", like ints, which is exactly the coefficient grammar used by
-algebra files and reports.
+algebra files and reports; `signed_sum` renders every linear combination.
 """
 
 import re
@@ -48,3 +48,14 @@ def parse_rat(text):
     if den is not None and not int(den):
         raise ParseError(f"bad rational coefficient {text!r}: zero denominator")
     return ratio(int(num), int(den or 1))
+
+
+def signed_sum(terms, sep="*"):
+    """Render (coeff, body) pairs as `c1*body1 + c2*body2 - c3*body3`: each
+    magnitude joined to its body by `sep`, a leading minus only on a negative
+    first term, and "0" when there are no terms."""
+    bits = []
+    for c, body in terms:
+        sign = (" - " if c < 0 else " + ") if bits else ("-" if c < 0 else "")
+        bits.append(f"{sign}{abs(c)}{sep}{body}")
+    return "".join(bits) or "0"

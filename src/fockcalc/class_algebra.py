@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._rat import Rat, exact
-from ._linalg import RowSpan
+from ._rat import Rat, exact, signed_sum
+from ._linalg import RowSpan, axpy
 from .errors import CapExceeded
 
 DEFAULT_CAP = 9
@@ -169,17 +169,11 @@ class CentralElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return CentralElement(self.n, out)
+        return CentralElement(self.n, axpy(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            out[p] = out.get(p, 0) - c
-        return CentralElement(self.n, out)
+        return CentralElement(self.n, axpy(dict(self.coeffs), other.coeffs, -1))
 
     def scale(self, scalar):
         s = exact(scalar)
@@ -215,17 +209,8 @@ class CentralElement:
 
 def render_central(elem):
     """Deterministic text form: `3*C[1,1,1] + 3*C[3]` in ascending lex order."""
-    if not elem.coeffs:
-        return "0"
-    bits = []
-    for lam in sorted(elem.coeffs):
-        c = elem.coeffs[lam]
-        body = f"{abs(c)}*C[{','.join(map(str, lam))}]"
-        if not bits:
-            bits.append(body if c > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(bits)
+    return signed_sum((elem.coeffs[lam], f"C[{','.join(map(str, lam))}]")
+                      for lam in sorted(elem.coeffs))
 
 
 def _check_cap(n, cap):
@@ -262,7 +247,6 @@ class GenerationReport:
     rounds: int = 0
     dim_trajectory: list = field(default_factory=list)
     fh_profile: list = field(default_factory=list)   # max fh degree per round
-    generator_names: list = field(default_factory=list)
 
     def render_text(self):
         verdict = "GENERATED" if self.generated else "NOT GENERATED"
@@ -297,9 +281,7 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     fresh = [elem for elem in [identity] + list(generators) if absorb(elem)]
     older = []
 
-    report = GenerationReport(n=n, target=target,
-                              generator_names=[render_central(g)
-                                               for g in generators])
+    report = GenerationReport(n=n, target=target)
 
     def max_fh():
         best = 0

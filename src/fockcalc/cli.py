@@ -1,8 +1,9 @@
 """Command-line surface.
 
+    fockcalc [--format text|structured] COMMAND ...
+
     fockcalc algebra validate <preset-or-path>
     fockcalc verify --suite S --algebra A --max-weight N [--max-index K]
-                    [--jobs J] [--format text|structured]
     fockcalc class B|G --i I --gamma SPEC --n N --algebra A
     fockcalc oracle product --n N --lambda 2,1 --mu 2,1
     fockcalc oracle generate --n N [--drop-two-cycle]
@@ -78,8 +79,7 @@ def cmd_verify(args):
     for suite in suites:
         report = operators.verify_relations(
             suite, algebra, max_weight=args.max_weight,
-            max_index=None if suite in operators.INDEX_FREE else args.max_index,
-            jobs=args.jobs)
+            max_index=None if suite in operators.INDEX_FREE else args.max_index)
         reports.append(report)
         print(f"{suite} wall_time: {report.wall_time:.2f}s", file=sys.stderr)
     passed = all(r.passed for r in reports)
@@ -168,7 +168,6 @@ def build_parser():
     p_ver.add_argument("--max-weight", type=int, default=4)
     p_ver.add_argument("--max-index", type=int, default=None,
                        help="bound on |n|, |m| (suite-specific default)")
-    p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.set_defaults(fn=cmd_verify)
 
     p_cls = sub.add_parser("class", help="expand a generator class")

@@ -9,14 +9,16 @@ repeated odd (size, color) pair kills the monomial.
 Weight of a monomial is the sum of part sizes (which Hilbert scheme it lives
 on); cohomological degree is sum(2*(size-1) + deg color).
 
-The operator workers share three helpers from here: axpy accumulates
-{mono: c} terms, extend makes a per-monomial image linear, and memo keeps
-those images in per-algebra tables that respect the weight cap.
+The operator workers share two helpers from here: extend makes a
+per-monomial image linear, and memo keeps those images in per-algebra tables
+that respect the weight cap.  Sums of {mono: c} terms go through
+_linalg.axpy.
 """
 
 import functools
 
-from ._rat import exact
+from ._linalg import axpy
+from ._rat import exact, signed_sum
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -121,20 +123,6 @@ def contract_into(acc, size, color, vec_terms, coeff, algebra):
                 passed_odd += 1
 
 
-def axpy(acc, terms, scale=1):
-    """acc += scale * terms over {mono: c} dicts, dropping entries that cancel.
-
-    Returns acc.
-    """
-    for mono, c in terms.items():
-        val = acc.get(mono, 0) + scale * c
-        if val:
-            acc[mono] = val
-        else:
-            acc.pop(mono, None)
-    return acc
-
-
 def memo(kind):
     """Memoize a per-monomial worker fn(algebra, *key) in the algebra's table
     `algebra._op_caches[kind]`.
@@ -205,17 +193,11 @@ class FockVector:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return FockVector(self.algebra, out)
+        return FockVector(self.algebra, axpy(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return FockVector(self.algebra, out)
+        return FockVector(self.algebra, axpy(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
         return FockVector(self.algebra, {m: -c for m, c in self.terms.items()})
@@ -350,14 +332,5 @@ def render_monomial(mono, algebra):
 
 def render_vector(v):
     """Deterministic textual form: `c * q_i(id) ... |0>` terms joined by +/-."""
-    if not v.terms:
-        return "0"
-    bits = []
-    for mono in sorted(v.terms, key=sort_key):
-        c = v.terms[mono]
-        body = f"{abs(c)} * {render_monomial(mono, v.algebra)}"
-        if not bits:
-            bits.append(body if c > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(bits)
+    return signed_sum(((v.terms[m], render_monomial(m, v.algebra))
+                       for m in sorted(v.terms, key=sort_key)), " * ")

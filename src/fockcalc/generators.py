@@ -24,9 +24,10 @@ import math
 from dataclasses import dataclass
 
 from . import fock
+from ._linalg import axpy
 from ._rat import ratio
 from .errors import DomainError, OracleMissing
-from .fock import FockVector, axpy, extend, memo
+from .fock import FockVector, extend, memo
 from .operators import (
     Instance,
     LinearOperator,

@@ -14,14 +14,14 @@ only materialize for adjoint computations.  Built here:
 plus exact adjoint matrices and the relation-verification suites.  Each
 suite is an entry of SUITES that lists its identity instances: label, params,
 left map, right maps with scalars, central scalar and the monomials to run
-on.  One driver (_check_instances) checks every instance on its monomials and
-fills the Report; verify_relations and nested_bracket_check both go through
-it.
+on.  One driver (_check_instances) checks every instance on its monomials, in
+order and on one thread, and fills the Report; verify_relations and
+nested_bracket_check both go through it.
 
 Applications of the Virasoro and boundary operators on basis monomials are
-memoized in per-algebra tables (fock.memo).  The tables are pure and safe to
-share, and an algebra's tables are emptied when the weight cap changes, so a
-warm table raises TruncationExceeded exactly where a cold one would.
+memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
+when the weight cap changes, so a warm table raises TruncationExceeded
+exactly where a cold one would.
 """
 
 import itertools
@@ -30,10 +30,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import _linalg, fock
+from ._linalg import axpy
 from ._rat import exact, ratio
 from .errors import MixedDegree, SingularGram
-from .fock import FockVector, axpy, contract_into, create_into, extend, memo
+from .fock import FockVector, contract_into, create_into, extend, memo
 from .surface import integral, mul
+
+
+def _check_algebras(f, x):
+    if f.algebra is not x.algebra:
+        raise ValueError("operators over different algebras")
 
 
 class LinearOperator:
@@ -55,6 +61,7 @@ class LinearOperator:
         self.name = name
 
     def __call__(self, v):
+        _check_algebras(self, v)
         return FockVector(self.algebra, self.fn(v.terms))
 
     def bidegree(self):
@@ -63,8 +70,7 @@ class LinearOperator:
         return (self.shift, self.degree)
 
     def __add__(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("operators over different algebras")
+        _check_algebras(self, other)
         if self.shift != other.shift:
             shift = None
         else:
@@ -96,6 +102,7 @@ class LinearOperator:
 
     def compose(self, other):
         """self after other."""
+        _check_algebras(self, other)
 
         def fn(terms, a=self.fn, b=other.fn):
             return a(b(terms))
@@ -126,8 +133,7 @@ def identity_operator(algebra):
 
 def supercommutator(f, g):
     """[f, g] = f g - (-1)^{parity f * parity g} g f."""
-    if f.algebra is not g.algebra:
-        raise ValueError("operators over different algebras")
+    _check_algebras(f, g)
     if f.parity is None or g.parity is None:
         raise MixedDegree("supercommutator needs homogeneous parities")
     sign = -1 if (f.parity and g.parity) else 1
@@ -443,30 +449,15 @@ def _basis_monomials_upto(algebra, max_weight):
     return out
 
 
-def _run_tasks(tasks, run_task, jobs):
-    """Evaluate run_task over the identity instances, optionally on a thread
-    pool.  Results come back in task order, so reports are identical for any
-    worker count; with one worker they are made lazily, one task at a time.
-    Workers only read shared immutable data and fill pure memo caches, which
-    tolerates concurrent writes."""
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_task, tasks))
-    return map(run_task, tasks)
-
-
-def _check_instances(report, algebra, instances, jobs=1):
+def _check_instances(report, algebra, instances):
     """Check every instance on each of its monomials and fill `report`.
 
-    Discrepancies are recorded in instance order, then monomial order, so
-    the report is the same for any `jobs`.  A sweep that checks nothing
-    proves nothing: it raises ValueError instead of passing."""
+    Instances are made and checked one at a time, and discrepancies are
+    recorded in instance order, then monomial order.  A sweep that checks
+    nothing proves nothing: it raises ValueError instead of passing."""
     start = time.perf_counter()
-
-    def run(instance):
+    for instance in instances:
         lhs, rhs, central = instance.lhs, instance.rhs, instance.central
-        witnesses = []
         for mono in instance.monomials:
             terms = {mono: 1}
             diff = lhs(terms)
@@ -475,14 +466,9 @@ def _check_instances(report, algebra, instances, jobs=1):
             if central:
                 axpy(diff, {mono: -central})
             if diff:
-                witnesses.append((mono, diff))
-        return instance.label, instance.params, len(instance.monomials), witnesses
-
-    for label, params, checked, witnesses in _run_tasks(instances, run, jobs):
-        report.count_instance(label, checked)
-        for mono, diff in witnesses:
-            report.record(params, fock.render_monomial(mono, algebra),
-                          fock.render_vector(FockVector(algebra, diff)))
+                report.record(instance.params, fock.render_monomial(mono, algebra),
+                              fock.render_vector(FockVector(algebra, diff)))
+        report.count_instance(instance.label, len(instance.monomials))
     if not report.checked:
         raise ValueError(f"{report.suite} on {report.algebra} checked nothing "
                          f"with {report.params} at weight {report.truncation}")
@@ -643,7 +629,12 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
     "LL"); "expansion" and "nested_bracket" take neither, and ValueError is
     raised when either is given.  Checks run on every basis monomial of
     weight <= max_weight; a sweep left with no check raises ValueError.
+
+    Every sweep runs on one thread.  `jobs` is kept only so that callers
+    still passing jobs=1 keep working; any other value raises ValueError.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs={jobs!r}: sweeps run on one thread, so jobs must be 1")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite in INDEX_FREE:
@@ -653,4 +644,4 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
     else:
         params, instances = SUITES[suite](algebra, max_weight, max_index, classes)
     report = Report(suite, algebra.name, params, max_weight)
-    return _check_instances(report, algebra, instances, jobs)
+    return _check_instances(report, algebra, instances)

@@ -7,17 +7,18 @@ the Kunneth expansion of the diagonal pushforward, and the Euler class.
 
 Everything is exact rational arithmetic, int first (see _rat): on the
 shipped presets the product table, the integral, the pairing, the dual
-basis, the Kunneth triples and the Euler class are all ints.  Instances are
-immutable after loading and can be shared freely; their operator memo tables
-only memoize pure computations and are emptied when the weight cap changes.
+basis, the Kunneth triples and the Euler class are all ints.  Sparse sums
+go through _linalg.axpy.  Instances are immutable after loading; their
+operator memo tables only memoize pure computations and are emptied when the
+weight cap changes.
 """
 
 import json
 from dataclasses import dataclass
 from importlib import resources
 
-from . import _linalg
-from ._rat import exact, parse_rat
+from ._linalg import axpy, solve
+from ._rat import exact, parse_rat, signed_sum
 from .errors import (
     AxiomViolation,
     DegreeError,
@@ -62,17 +63,12 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra, axpy(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) - c
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement(self.algebra,
+                              axpy(dict(self.coeffs), other.coeffs, -1))
 
     def __neg__(self):
         return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
@@ -96,13 +92,8 @@ class AlgebraElement:
         )
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            bits.append(f"{c}*{self.algebra.basis[i].id}")
-        return " + ".join(bits).replace("+ -", "- ")
+        return signed_sum((self.coeffs[i], self.algebra.basis[i].id)
+                          for i in sorted(self.coeffs))
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -132,7 +123,7 @@ class SurfaceAlgebra:
             for i in range(self.dim)
         ]
         # duals[j] satisfies integral(e_i * duals[j]) = delta_ij
-        self._dual_coeffs = _linalg.solve(
+        self._dual_coeffs = solve(
             self.pairing, [[int(i == j) for i in range(self.dim)]
                            for j in range(self.dim)])
         if self._dual_coeffs is None:
@@ -196,8 +187,7 @@ class SurfaceAlgebra:
         for i in range(self.dim):
             sign = -1 if self.parities[i] else 1
             for j, cj in duals[i].coeffs.items():
-                for k, c in self.mul_basis(i, j).items():
-                    acc[k] = acc.get(k, 0) + sign * cj * c
+                axpy(acc, self.mul_basis(i, j), sign * cj)
         return AlgebraElement(self, acc)
 
     def kunneth_triples(self, i):
@@ -234,7 +224,7 @@ class SurfaceAlgebra:
             for k, ck in self.mul_basis(i, b).items():
                 val += ck * self._integrate_product(k, c)
             rhs.append(val)
-        sol = _linalg.solve(matrix, [rhs])
+        sol = solve(matrix, [rhs])
         if sol is None:
             raise SingularPairing(f"{self.name}: Kunneth system is singular")
         triples = tuple((u, v, t) for (u, v), t in zip(unknowns, sol[0]) if t)
@@ -255,11 +245,8 @@ def mul(a, b):
         row = alg.product[i]
         for j, cb in b.coeffs.items():
             cell = row.get(j)
-            if not cell:
-                continue
-            f = ca * cb
-            for k, c in cell.items():
-                acc[k] = acc.get(k, 0) + f * c
+            if cell:
+                axpy(acc, cell, ca * cb)
     return AlgebraElement(alg, acc)
 
 
@@ -409,23 +396,14 @@ def _build(doc):
             raise AxiomViolation(f"{name}: odd class {basis[i].id} has nonzero square")
 
     # associativity over all basis triples
-    def cell_mul(left_cell, j):
-        acc = {}
-        for k, c in left_cell.items():
-            for l, c2 in table[k].get(j, {}).items():
-                acc[l] = acc.get(l, 0) + c * c2
-        return {k: c for k, c in acc.items() if c}
-
     for i in range(dim):
         for j in range(dim):
-            ij = table[i].get(j, {})
             for k in range(dim):
-                left = cell_mul(ij, k)
-                right = {}
+                left, right = {}, {}
+                for l, c in table[i].get(j, {}).items():
+                    axpy(left, table[l].get(k, {}), c)
                 for l, c in table[j].get(k, {}).items():
-                    for m, c2 in table[i].get(l, {}).items():
-                        right[m] = right.get(m, 0) + c * c2
-                right = {m: c for m, c in right.items() if c}
+                    axpy(right, table[i].get(l, {}), c)
                 if left != right:
                     raise AxiomViolation(
                         f"{name}: associativity fails on "

@@ -198,15 +198,12 @@ def test_verify_nested_bracket_suite(capsys):
     assert code == 0 and "result: PASS" in out
 
 
-def test_stdout_byte_identical_across_jobs(capsys):
-    outs = []
-    for jobs in ("1", "3"):
-        code, out, _ = run(capsys, "--format", "structured", "verify",
-                           "--suite", "heisenberg", "--algebra", "p1xp1",
-                           "--max-weight", "2", "--jobs", jobs)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
+def test_verify_has_no_jobs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "heisenberg", "--algebra", "p1xp1",
+              "--max-weight", "2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 F1_LIKE = {
