@@ -1,11 +1,11 @@
 """The center of the rational symmetric-group algebra under convolution.
 
 Conjugacy-class sums C_lambda, indexed by partitions of n, form a basis of
-the center.  Structure constants are computed by representative-and-count:
-fix w of cycle type nu, walk g over the class of lambda, and bucket the cycle
-type of g composed with w.  One walk over a class fills the whole row of the
-multiplication table for that lambda, and rows are memoized, which keeps the
-S_8 generation closure comfortable.
+the center.  Structure constants come from the character table of S_n by the
+Frobenius formula, in exact integers: the Murnaghan-Nakayama rule gives the
+characters, and one pass over the table fills the whole row of the
+multiplication table for a lambda.  Tables and rows are memoized together
+in _ROW_CACHE; no permutation is ever enumerated.
 
 This is the desk-scale shadow of the Fock picture: partitions mirror the
 colored monomials over the one-point algebra, and n minus the number of parts
@@ -14,10 +14,11 @@ is the filtration degree that the part-size filtration mirrors upstairs.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._rat import Rat, exact, signed_sum
+from ._rat import exact, signed_sum
 from ._linalg import RowSpan, axpy
 from .errors import CapExceeded
 
@@ -72,79 +73,73 @@ def fh_degree(lam):
     return sum(lam) - len(lam)
 
 
-def cycle_type(perm):
-    n = len(perm)
-    seen = [False] * n
-    parts = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        parts.append(length)
-    parts.sort(reverse=True)
-    return tuple(parts)
-
-
-def representative(lam, n):
-    """The permutation with cycles (0..l1-1)(l1..l1+l2-1)... of type lam."""
-    perm = list(range(n))
-    pos = 0
-    for part in lam:
-        for k in range(part):
-            perm[pos + k] = pos + (k + 1) % part
-        pos += part
-    return tuple(perm)
-
-
-def permutations_of_type(lam, n):
-    """All permutations of S_n with cycle type lam (each exactly once).
-
-    Cycles are anchored at their smallest unplaced element, which makes the
-    enumeration duplicate-free across equal part sizes.
-    """
-    lam = check_partition(lam, n)
-
-    def rec(remaining_parts, unused, perm):
-        if not remaining_parts:
-            yield tuple(perm)
-            return
-        anchor = unused[0]
-        rest = unused[1:]
-        for size in sorted(set(remaining_parts), reverse=True):
-            nxt = list(remaining_parts)
-            nxt.remove(size)
-            for tail in itertools.permutations(rest, size - 1):
-                cycle = (anchor,) + tail
-                for k in range(size):
-                    perm[cycle[k]] = cycle[(k + 1) % size]
-                leftover = [x for x in rest if x not in tail]
-                yield from rec(nxt, leftover, perm)
-
-    yield from rec(list(lam), list(range(n)), list(range(n)))
-
-
 _ROW_CACHE = {}
 
 
+def _mn_character(beads, rest, memo):
+    """chi^rho at the cycle type `rest`, by the Murnaghan-Nakayama rule on the
+    beta-set of rho, a bitmask of bead positions: a rim hook of length r is a
+    bead moved from b to a free b - r, signed by the parity of the beads
+    strictly between.  `memo` lives for one table build."""
+    if not rest:
+        return 1
+    key = (beads, rest)
+    if key not in memo:
+        r, total = rest[0], 0
+        for b in range(r, beads.bit_length()):
+            if beads >> b & 1 and not beads >> (b - r) & 1:
+                moved = beads ^ (1 << b) ^ (1 << (b - r))
+                value = _mn_character(moved, rest[1:], memo)
+                between = beads >> (b - r + 1) & ((1 << (r - 1)) - 1)
+                total += -value if between.bit_count() % 2 else value
+        memo[key] = total
+    return memo[key]
+
+
+def _character_table(n):
+    """The characters of S_n as {class nu: (chi(nu) for chi)}, with the
+    irreducibles chi in the order of partitions_of(n).  The table is kept in
+    _ROW_CACHE under the key n, beside the rows it feeds."""
+    if n in _ROW_CACHE:
+        return _ROW_CACHE[n]
+    parts = partitions_of(n)
+    # bead k of rho, padded to n parts, sits at rho_k + n - 1 - k
+    betas = [sum(1 << (p + n - 1 - k)
+                 for k, p in enumerate(rho + (0,) * (n - len(rho))))
+             for rho in parts]
+    memo = {}
+    table = {nu: tuple(_mn_character(beads, nu, memo) for beads in betas)
+             for nu in parts}
+    _ROW_CACHE[n] = table
+    return table
+
+
 def _product_row(lam, n):
-    """All products C_lam * C_mu at once: row[nu][mu] = structure constant."""
+    """All products C_lam * C_mu at once: row[nu][mu] = structure constant.
+
+    Frobenius: c = |C_lam||C_mu|/n! * sum_chi chi(lam)chi(mu)chi(nu)/chi(1),
+    summed in integers as chi(lam)chi(mu)chi(nu)*(n!/chi(1)) and divided by
+    (n!)^2 once; a remainder means a wrong table and raises ArithmeticError.
+    """
     key = (n, lam)
     if key in _ROW_CACHE:
         return _ROW_CACHE[key]
-    reps = {nu: representative(nu, n) for nu in partitions_of(n)}
-    row = {nu: {} for nu in reps}
-    rng = range(n)
-    for g in permutations_of_type(lam, n):
-        for nu, w in reps.items():
-            # counts pairs (g', h) in C_lam x C_mu with g' h = w, via h = g w
-            mu = cycle_type(tuple(g[w[i]] for i in rng))
-            bucket = row[nu]
-            bucket[mu] = bucket.get(mu, 0) + 1
+    table = _character_table(n)
+    order = math.factorial(n)
+    weights = [x * (order // dim) for x, dim in zip(table[lam], table[(1,) * n])]
+    sizes = {mu: class_size(lam) * class_size(mu) for mu in table}
+    row = {}
+    for nu, col_nu in table.items():
+        w_nu = [w * x for w, x in zip(weights, col_nu)]
+        row[nu] = counts = {}
+        for mu, col_mu in table.items():
+            count, rem = divmod(sum(map(operator.mul, w_nu, col_mu)) * sizes[mu],
+                                order * order)
+            if rem:
+                raise ArithmeticError(f"C{lam} * C{mu} on C{nu} is not an "
+                                      f"integer: the character table is wrong")
+            if count:
+                counts[mu] = count
     _ROW_CACHE[key] = row
     return row
 
@@ -156,7 +151,7 @@ class CentralElement:
 
     def __init__(self, n, coeffs=None):
         self.n = n
-        self.coeffs = {check_partition(p, n): Rat(exact(c))
+        self.coeffs = {check_partition(p, n): exact(c)
                        for p, c in (coeffs or {}).items() if c}
 
     @classmethod
@@ -224,7 +219,7 @@ def class_product(lam, mu, n, cap=DEFAULT_CAP):
     lam = check_partition(lam, n)
     mu = check_partition(mu, n)
     row = _product_row(lam, n)
-    return CentralElement(n, {nu: Rat(by_mu[mu])
+    return CentralElement(n, {nu: by_mu[mu]
                               for nu, by_mu in row.items() if mu in by_mu})
 
 
@@ -272,7 +267,7 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
 
     def absorb(elem):
         """Add elem to the span; True when the dimension grew."""
-        vec = [Rat(0)] * target
+        vec = [0] * target
         for lam, c in elem.coeffs.items():
             vec[index[lam]] = c
         return span.add(vec)

@@ -8,15 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockcalc import CapExceeded, Rat, class_product, class_size, fh_degree
+from fockcalc import class_algebra
 from fockcalc.class_algebra import (
     CentralElement,
     b_analog,
-    cycle_type,
     generation_closure,
     partition_count,
     partitions_of,
-    permutations_of_type,
     render_central,
+)
+from sn_enumeration import (
+    cycle_type,
+    enumerated_product_row,
+    permutations_of_type,
     representative,
 )
 
@@ -136,6 +140,24 @@ def test_products_match_bruteforce_oracle():
                 assert {p: int(c) for p, c in got.coeffs.items()} == expect, (lam, mu)
 
 
+def test_product_rows_match_enumeration():
+    # every class up to S_7, and the hook classes C_(i+1,1^(7-i)) of S_8
+    cases = [(lam, n) for n in range(1, 8) for lam in partitions_of(n)]
+    cases += [((i + 1,) + (1,) * (7 - i), 8) for i in range(8)]
+    for lam, n in cases:
+        assert class_algebra._product_row(lam, n) == enumerated_product_row(lam, n), lam
+
+
+def test_coefficients_stay_ints():
+    for n in (3, 5, 7):
+        for lam, mu in itertools.product(partitions_of(n), repeat=2):
+            prod = class_product(lam, mu, n)
+            conv = CentralElement.class_sum(lam) * CentralElement.class_sum(mu)
+            assert prod == conv
+            for c in list(prod.coeffs.values()) + list(conv.coeffs.values()):
+                assert type(c) is int, (lam, mu, c)
+
+
 def test_structure_constants_symmetric_and_integral():
     for n in (3, 4, 5, 6):
         for lam, mu in itertools.combinations_with_replacement(partitions_of(n), 2):
@@ -176,6 +198,57 @@ def test_cap_enforced():
         generation_closure([], 12)
 
 
+# -- the character table ---------------------------------------------------------
+
+
+def hook_length_dimension(rho):
+    n = sum(rho)
+    conjugate = [sum(1 for p in rho if p > j) for j in range(rho[0] if rho else 0)]
+    hooks = 1
+    for i, row in enumerate(rho):
+        for j in range(row):
+            hooks *= (row - j - 1) + (conjugate[j] - i - 1) + 1  # arm + leg + 1
+    return math.factorial(n) // hooks
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_character_table_orthogonality(n):
+    table = class_algebra._character_table(n)
+    order = math.factorial(n)
+    classes = partitions_of(n)
+    irreps = range(len(classes))
+    for a in irreps:
+        for b in irreps:
+            total = sum(class_size(k) * table[k][a] * table[k][b] for k in classes)
+            assert total == (order if a == b else 0), (n, a, b)
+    for k in classes:
+        for l in classes:
+            total = class_size(k) * sum(x * y for x, y in zip(table[k], table[l]))
+            assert total == (order if k == l else 0), (n, k, l)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_character_degrees_and_linear_characters(n):
+    table = class_algebra._character_table(n)
+    classes = partitions_of(n)
+    # characters are indexed like partitions_of(n): (n) first, (1^n) last
+    assert [table[(1,) * n][a] for a in range(len(classes))] == \
+        [hook_length_dimension(rho) for rho in classes]
+    for k in classes:
+        assert table[k][0] == 1
+        assert table[k][-1] == (-1) ** (n - len(k))
+
+
+def test_corrupted_character_table_raises(monkeypatch):
+    monkeypatch.setattr(class_algebra, "_ROW_CACHE", {})
+    table = class_algebra._character_table(5)
+    col = list(table[(3, 2)])
+    col[1] += 1
+    table[(3, 2)] = tuple(col)
+    with pytest.raises(ArithmeticError):
+        class_algebra._product_row((3, 2), 5)
+
+
 # -- generation --------------------------------------------------------------------
 
 
@@ -193,6 +266,13 @@ def test_generation_small():
         assert rep.generated
         assert rep.dimension == partition_count(n)
         assert rep.dim_trajectory[0] == n  # the seed classes are independent
+
+
+def test_generation_beyond_s8():
+    # p(9), p(10), p(11), with the cap lifted to n for this call only
+    for n, p in ((9, 30), (10, 42), (11, 56)):
+        rep = generation_closure([b_analog(i, n) for i in range(n)], n, cap=n)
+        assert rep.generated and rep.dimension == p, n
 
 
 def test_generation_profile_monotone():
