@@ -255,8 +255,8 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     which at least one factor came in during the last round: the center is
     commutative, and older pairs are in the span already.  What is new is
     absorbed; the dimension trajectory and the maximal filtration degree
-    reached per round are recorded.  Generated means the full center
-    (dimension p(n)).
+    reached per round are recorded.  A round stops multiplying once the span
+    is the full center (dimension p(n)), which is what generated means.
     """
     _check_cap(n, cap)
     parts = partitions_of(n)
@@ -290,11 +290,13 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     report.fh_profile.append(max_fh())
     while True:
         added = []
-        for k, v in enumerate(fresh):
-            for u in older + fresh[:k + 1]:
-                prod = u * v
-                if absorb(prod):
-                    added.append(prod)
+        pairs = ((u, v) for k, v in enumerate(fresh) for u in older + fresh[:k + 1])
+        for u, v in pairs:
+            if span.dimension == target:
+                break
+            prod = u * v
+            if absorb(prod):
+                added.append(prod)
         report.rounds += 1
         report.dim_trajectory.append(span.dimension)
         report.fh_profile.append(max_fh())

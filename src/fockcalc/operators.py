@@ -16,7 +16,10 @@ suite is an entry of SUITES that lists its identity instances: label, params,
 left map, right maps with scalars, central scalar and the monomials to run
 on.  One driver (_check_instances) checks every instance on its monomials, in
 order and on one thread, and fills the Report; verify_relations and
-nested_bracket_check both go through it.
+nested_bracket_check both go through it.  The Heisenberg suite composes rows
+instead of building supercommutator maps: the image of q_n(a) on a monomial
+comes from the q kernels once and is kept in a per-sweep table, which holds
+only the sweep's own monomials and so is bounded by the sweep weight.
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -25,6 +28,7 @@ exactly where a cold one would.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -487,11 +491,72 @@ def _index_range(bound):
 
 
 def _heisenberg(algebra, bound, classes, monomials):
+    """[q_n(a), q_m(b)] checked by composing rows.
+
+    The row of q_n(classes[i]) on a monomial is its image as a tuple of
+    (key, coeff) pairs, built by the q kernels on classes[i] times the common
+    denominator of its coefficients, so rows hold ints.  A sweep monomial is
+    keyed by its index in `monomials`, any other monomial by itself.  Rows of
+    sweep monomials are kept in a table that lives as long as this
+    generator; the others are built and dropped, so the table is bounded by
+    the sweep weight.
+    """
     idx = _index_range(bound)
-    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+    ids = {mono: k for k, mono in enumerate(monomials)}
+    dens = [math.lcm(*(int(c.denominator) for c in a.coeffs.values()))
+            for a in classes]
+    # (n, i) -> (row table, kernel, part size, scaled coefficients)
+    ops = {(n, i): ([None] * len(monomials),) + _q_kernel(n)
+           + ([(color, int(c * den)) for color, c in a.coeffs.items()],)
+           for n in idx for i, (a, den) in enumerate(zip(classes, dens))}
+
+    def row(op, key):
+        """The row of op on the keyed monomial, kept when that is a sweep
+        monomial; callers look in the table first."""
+        table, kernel, size, items = op
+        mono = monomials[key] if key.__class__ is int else key
+        acc, terms = {}, {mono: 1}
+        for color, coeff in items:
+            kernel(acc, size, color, terms, coeff, algebra)
+        image = tuple([(ids.get(t, t), c) for t, c in acc.items()])
+        if key.__class__ is int:
+            table[key] = image
+        return image
+
+    def compose(acc, outer, inner, key, scale):
+        # acc += scale * outer(inner(keyed monomial))
+        first = inner[0][key] if key.__class__ is int else None
+        if first is None:
+            first = row(inner, key)
+        table = outer[0]
+        for mid, c in first:
+            image = table[mid] if mid.__class__ is int else None
+            if image is None:
+                image = row(outer, mid)
+            c *= scale
+            for target, d in image:
+                acc[target] = acc.get(target, 0) + c * d
+
+    parities = [_grading(a, 0)[1] for a in classes]
+    pairs = itertools.product(range(len(classes)), repeat=2)
+    for n, m, (i, j) in itertools.product(idx, idx, pairs):
+        if parities[i] is None or parities[j] is None:
+            raise MixedDegree("supercommutator needs homogeneous parities")
+        sign = -1 if parities[i] and parities[j] else 1
+
+        def bracket(terms, f=ops[n, i], g=ops[m, j], sign=sign,
+                    den=dens[i] * dens[j]):
+            acc = {}
+            for mono, c in terms.items():
+                key = ids.get(mono, mono)
+                compose(acc, f, g, key, c)
+                compose(acc, g, f, key, -sign * c)
+            return {(monomials[t] if t.__class__ is int else t):
+                    c if den == 1 else ratio(c, den) for t, c in acc.items() if c}
+
+        a, b = classes[i], classes[j]
         central = n * integral(mul(a, b)) if n + m == 0 else 0
-        yield _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn,
-                             (), central, monomials)
+        yield _pair_instance(n, m, a, b, bracket, (), central, monomials)
 
 
 def _lq(algebra, bound, classes, monomials):

@@ -1,7 +1,9 @@
 """Symmetric-group class algebra: sizes, products, filtration, generation."""
 
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -269,8 +271,8 @@ def test_generation_small():
 
 
 def test_generation_beyond_s8():
-    # p(9), p(10), p(11), with the cap lifted to n for this call only
-    for n, p in ((9, 30), (10, 42), (11, 56)):
+    # p(9) to p(12), with the cap lifted to n for this call only
+    for n, p in ((9, 30), (10, 42), (11, 56), (12, 77)):
         rep = generation_closure([b_analog(i, n) for i in range(n)], n, cap=n)
         assert rep.generated and rep.dimension == p, n
 
@@ -328,6 +330,63 @@ def test_generation_closure_skips_repeated_pairs(monkeypatch):
     rep = generation_closure([b_analog(i, 6) for i in range(6)], 6)
     assert rep.generated
     assert len(calls) < 36
+
+
+# -- the closure against its closed form ----------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _rim_hook_character(beta, mu):
+    """chi at the cycle type mu of the partition with beta-set `beta` (a
+    frozenset of first-column hook lengths), by the Murnaghan-Nakayama rule:
+    a rim hook of length r moves a bead b to a free b - r, signed by the
+    number of beads it jumps."""
+    if not mu:
+        return 1
+    r, total = mu[0], 0
+    for b in beta:
+        if b >= r and b - r not in beta:
+            jumped = sum(1 for x in beta if b - r < x < b)
+            value = _rim_hook_character(beta - {b} | {b - r}, mu[1:])
+            total += -value if jumped % 2 else value
+    return total
+
+
+def central_character_count(classes, n):
+    """The number of distinct vectors (omega_chi(C) for C in classes) over
+    the irreducible chi of S_n, omega_chi(C_lam) = |C_lam| chi(lam) / chi(1):
+    the dimension of the unital subalgebra of the center that the class sums
+    generate, which is the algebra of functions on the irreducibles that are
+    constant where all the omega agree."""
+    vectors = set()
+    for rho in partitions_of(n):
+        beta = frozenset(p + len(rho) - 1 - k for k, p in enumerate(rho))
+        degree = _rim_hook_character(beta, (1,) * n)
+        assert degree == hook_length_dimension(rho), rho
+        vectors.add(tuple(Fraction(class_size(lam) * _rim_hook_character(beta, lam),
+                                   degree) for lam in classes))
+    return len(vectors)
+
+
+# drop-two-cycle closure at n = 12 (trajectory [11, 66, 76, 76]) never fills
+# the span, so it multiplies every pair: about 45 s, too slow for this suite
+CLOSED_FORM_RANGES = {"all": range(2, 13), "drop two-cycle": range(2, 12)}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORM_RANGES))
+def test_generation_closure_matches_the_closed_form(family):
+    for n in CLOSED_FORM_RANGES[family]:
+        gens = [b_analog(i, n) for i in CLOSURE_GENERATORS[family](n)]
+        classes = [(1,) * n] + [next(iter(g.coeffs)) for g in gens]
+        rep = generation_closure(gens, n, cap=n)
+        assert rep.dimension == central_character_count(classes, n), (family, n)
+
+
+def test_closed_form_without_the_two_cycle_at_12():
+    # the closure, run apart from this suite, gave dimension 76
+    classes = [(1,) * 12] + [(i + 1,) + (1,) * (11 - i)
+                             for i in CLOSURE_GENERATORS["drop two-cycle"](12)]
+    assert central_character_count(classes, 12) == 76
 
 
 def test_drop_two_cycle_diagnostic():

@@ -6,6 +6,7 @@ from fockcalc import (
     FockVector,
     MixedDegree,
     Rat,
+    TruncationExceeded,
     adjoint_matrix,
     boundary_d,
     canonicalize,
@@ -14,7 +15,9 @@ from fockcalc import (
     monomial_basis,
     nested_bracket_check,
     operator_matrix,
+    parse_element,
     q,
+    set_max_weight,
     supercommutator,
     verify_relations,
     virasoro,
@@ -413,3 +416,84 @@ def test_verify_relations_runs_on_one_thread(p2):
     assert verify_relations("Lq", p2, max_weight=1, max_index=1, jobs=1).passed
     with pytest.raises(ValueError, match="jobs"):
         verify_relations("Lq", p2, max_weight=2, max_index=1, jobs=2)
+
+
+# -- the Heisenberg suite's row path against the generic supercommutator --------
+
+
+def _generic_heisenberg_record(alg, max_weight, max_index, classes):
+    """The record of the Heisenberg sweep built from supercommutator(q, q)
+    maps, in the sweep's instance order."""
+    from fockcalc.operators import (Report, _basis_monomials_upto,
+                                    _check_instances, _index_range, _pair_instance)
+    from fockcalc.surface import integral, mul
+    monos = _basis_monomials_upto(alg, max_weight)
+    idx = _index_range(max_index)
+    instances = (
+        _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn, (),
+                       n * integral(mul(a, b)) if n + m == 0 else 0, monos)
+        for n in idx for m in idx for a in classes for b in classes)
+    report = Report("heisenberg", alg.name,
+                    {"max_index": max_index, "classes": len(classes)}, max_weight)
+    return _check_instances(report, alg, instances).to_record()
+
+
+def _flip_annihilation(monkeypatch):
+    from fockcalc import fock, operators
+
+    def flipped(acc, size, color, terms, coeff, algebra):
+        fock.contract_into(acc, size, color, terms, -coeff, algebra)
+
+    monkeypatch.setattr(operators, "contract_into", flipped)
+
+
+def _drop_koszul(monkeypatch):
+    from fockcalc import fock
+    prepend = fock.prepend_part
+
+    def unsigned(mono, size, color, algebra):
+        hit = prepend(mono, size, color, algebra)
+        return None if hit is None else (hit[0], 1)
+
+    monkeypatch.setattr(fock, "prepend_part", unsigned)
+
+
+# mutant -> the algebras on which it must be seen; the Koszul sign needs odd
+# classes, so p2 cannot see it
+HEISENBERG_MUTANTS = {
+    "clean": (None, ()),
+    "annihilation sign": (_flip_annihilation, ("p2", "torus_like")),
+    "Koszul sign": (_drop_koszul, ("torus_like",)),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
+def test_heisenberg_rows_match_the_generic_path(p2, torus, monkeypatch, mutant):
+    patch, seen_on = HEISENBERG_MUTANTS[mutant]
+    if patch:
+        patch(monkeypatch)
+    # basis classes of both parities, and combinations with denominators
+    sweeps = (
+        (p2, 3, 2, p2.basis_elements() + [parse_element(p2, "3/4*h - 2*h2")]),
+        (torus, 2, 1, [torus.basis_element(c) for c in
+                       ("1", "x1", "x2x3x4", "x1x2", "x3x4", "x1x2x3x4")]
+         + [parse_element(torus, "1/2*x1 + 3*x3"),
+            parse_element(torus, "2/3*x1x2 - 5*x3x4")]),
+    )
+    for alg, max_weight, max_index, classes in sweeps:
+        got = verify_relations("heisenberg", alg, max_weight=max_weight,
+                               max_index=max_index, classes=classes).to_record()
+        assert got == _generic_heisenberg_record(alg, max_weight, max_index, classes)
+        assert got["passed"] is (alg.name not in seen_on), (mutant, alg.name)
+
+
+def test_heisenberg_rows_keep_the_errors(p2, torus):
+    mixed = parse_element(torus, "1+x1")
+    with pytest.raises(MixedDegree):
+        verify_relations("heisenberg", torus, max_weight=1, classes=[mixed])
+    previous = set_max_weight(3)
+    try:
+        with pytest.raises(TruncationExceeded):
+            verify_relations("heisenberg", p2, max_weight=3)
+    finally:
+        set_max_weight(previous)
