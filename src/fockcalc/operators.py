@@ -19,7 +19,9 @@ order and on one thread, and fills the Report; verify_relations and
 nested_bracket_check both go through it.  The Heisenberg suite composes rows
 instead of building supercommutator maps: the image of q_n(a) on a monomial
 comes from the q kernels once and is kept in a per-sweep table, which holds
-only the sweep's own monomials and so is bounded by the sweep weight.
+only the sweep's own monomials and so is bounded by the sweep weight.  Each
+product q_n(a) q_m(b) e is composed once per sweep: instance (n, m, a, b)
+keeps its nonzero images, and the mirror instance (m, n, b, a) reads them.
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -500,6 +502,16 @@ def _heisenberg(algebra, bound, classes, monomials):
     sweep monomials are kept in a table that lives as long as this
     generator; the others are built and dropped, so the table is bounded by
     the sweep weight.
+
+    Both products of a pair of slots (n, i) != (m, j) are composed once.  The
+    instance that comes first in the sweep order checks f g - s g f with
+    f = q_n(classes[i]), g = q_m(classes[j]) and s the Koszul sign, and keeps
+    each nonzero image under its slots and monomial key.  The mirror instance
+    (m, n, j, i) takes [g, f] = g f - s f g = -s (f g - s g f) from the kept
+    image, dropping it as it reads it, and computes its own central term
+    m int(b a).  The diagonal slot (n, i) = (m, j) composes f f once and
+    scales it by 1 - s.  So the instances must be checked in order, each on
+    every monomial before the next is made, as _check_instances does.
     """
     idx = _index_range(bound)
     ids = {mono: k for k, mono in enumerate(monomials)}
@@ -537,22 +549,52 @@ def _heisenberg(algebra, bound, classes, monomials):
             for target, d in image:
                 acc[target] = acc.get(target, 0) + c * d
 
+    def paired(f, g, sign, kept):
+        # f g - sign g f, kept for the mirror when nonzero
+        def image(key):
+            acc = {}
+            compose(acc, f, g, key, 1)
+            compose(acc, g, f, key, -sign)
+            acc = {t: c for t, c in acc.items() if c}
+            if acc:
+                kept[key] = tuple(acc.items())
+            return acc
+        return image
+
+    def diagonal(f, sign):
+        def image(key):
+            acc = {}
+            compose(acc, f, f, key, 1 - sign)
+            return acc
+        return image
+
+    def mirrored(sign, kept):
+        # [g, f] = g f - sign f g = -sign (f g - sign g f)
+        def image(key):
+            return {t: -sign * c for t, c in kept.pop(key, ())}
+        return image
+
     parities = [_grading(a, 0)[1] for a in classes]
+    kept = {}  # (n, i, m, j) of a first instance -> {key: nonzero image items}
     pairs = itertools.product(range(len(classes)), repeat=2)
     for n, m, (i, j) in itertools.product(idx, idx, pairs):
         if parities[i] is None or parities[j] is None:
             raise MixedDegree("supercommutator needs homogeneous parities")
         sign = -1 if parities[i] and parities[j] else 1
+        if (n, i) == (m, j):
+            image = diagonal(ops[n, i], sign)
+        elif (n, i) < (m, j):
+            kept[n, i, m, j] = {}
+            image = paired(ops[n, i], ops[m, j], sign, kept[n, i, m, j])
+        else:
+            image = mirrored(sign, kept.pop((m, j, n, i)))
 
-        def bracket(terms, f=ops[n, i], g=ops[m, j], sign=sign,
-                    den=dens[i] * dens[j]):
+        def bracket(terms, image=image, den=dens[i] * dens[j]):
             acc = {}
             for mono, c in terms.items():
-                key = ids.get(mono, mono)
-                compose(acc, f, g, key, c)
-                compose(acc, g, f, key, -sign * c)
+                axpy(acc, image(ids.get(mono, mono)), c)
             return {(monomials[t] if t.__class__ is int else t):
-                    c if den == 1 else ratio(c, den) for t, c in acc.items() if c}
+                    c if den == 1 else ratio(c, den) for t, c in acc.items()}
 
         a, b = classes[i], classes[j]
         central = n * integral(mul(a, b)) if n + m == 0 else 0

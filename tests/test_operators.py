@@ -423,15 +423,19 @@ def test_verify_relations_runs_on_one_thread(p2):
 
 def _generic_heisenberg_record(alg, max_weight, max_index, classes):
     """The record of the Heisenberg sweep built from supercommutator(q, q)
-    maps, in the sweep's instance order."""
+    maps, in the sweep's instance order.  The central term reads the product
+    through operators.mul, as the sweep does, so a mutant patched there acts
+    on both."""
+    from fockcalc import operators
     from fockcalc.operators import (Report, _basis_monomials_upto,
                                     _check_instances, _index_range, _pair_instance)
-    from fockcalc.surface import integral, mul
+    from fockcalc.surface import integral
     monos = _basis_monomials_upto(alg, max_weight)
     idx = _index_range(max_index)
     instances = (
         _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn, (),
-                       n * integral(mul(a, b)) if n + m == 0 else 0, monos)
+                       n * integral(operators.mul(a, b)) if n + m == 0 else 0,
+                       monos)
         for n in idx for m in idx for a in classes for b in classes)
     report = Report("heisenberg", alg.name,
                     {"max_index": max_index, "classes": len(classes)}, max_weight)
@@ -458,17 +462,36 @@ def _drop_koszul(monkeypatch):
     monkeypatch.setattr(fock, "prepend_part", unsigned)
 
 
+def _order_central(monkeypatch):
+    # a b doubled when a's first basis index exceeds b's: the sweep reads mul
+    # only for its central term, so only that term sees the order
+    from fockcalc import operators, surface
+
+    def ordered(a, b):
+        ab = surface.mul(a, b)
+        first = min(a.coeffs, default=0), min(b.coeffs, default=0)
+        return ab.scale(2) if first[0] > first[1] else ab
+
+    monkeypatch.setattr(operators, "mul", ordered)
+
+
 # mutant -> the algebras on which it must be seen; the Koszul sign needs odd
-# classes, so p2 cannot see it
+# classes, so p2 cannot see it.  The central-order mutant is seen only if the
+# mirror instance (m, n, b, a) computes its own central term m int(b a)
 HEISENBERG_MUTANTS = {
     "clean": (None, ()),
     "annihilation sign": (_flip_annihilation, ("p2", "torus_like")),
     "Koszul sign": (_drop_koszul, ("torus_like",)),
+    "central order": (_order_central, ("p2", "torus_like")),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
 def test_heisenberg_rows_match_the_generic_path(p2, torus, monkeypatch, mutant):
+    from fockcalc.operators import Report
+    # keep every discrepancy, so that the records compare in full: a mirror
+    # instance failing in place of its first instance changes no count
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
     patch, seen_on = HEISENBERG_MUTANTS[mutant]
     if patch:
         patch(monkeypatch)
@@ -485,6 +508,32 @@ def test_heisenberg_rows_match_the_generic_path(p2, torus, monkeypatch, mutant):
                                max_index=max_index, classes=classes).to_record()
         assert got == _generic_heisenberg_record(alg, max_weight, max_index, classes)
         assert got["passed"] is (alg.name not in seen_on), (mutant, alg.name)
+
+
+@pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
+def test_heisenberg_pairs_on_edge_class_lists(p2, torus, monkeypatch, mutant):
+    # repeated classes share a value but not a slot, so the mirror's kept
+    # images must be found by slot; x1 is odd, so its diagonal slots check
+    # 2 q_n(x1) q_n(x1) e
+    from fockcalc.operators import Report
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
+    patch = HEISENBERG_MUTANTS[mutant][0]
+    if patch:
+        patch(monkeypatch)
+    h, unit = p2.basis_element("h"), p2.unit()
+    x1, x3 = torus.basis_element("x1"), torus.basis_element("x3")
+    sweeps = (
+        (p2, 3, 2, [h, h, unit]),
+        (p2, 3, 2, [h, p2.zero(), unit]),
+        (p2, 3, 2, [h]),
+        (torus, 2, 1, [x1, x1, x3]),
+        (torus, 2, 1, [torus.zero(), x1]),
+        (torus, 2, 1, [x1]),
+    )
+    for alg, max_weight, max_index, classes in sweeps:
+        got = verify_relations("heisenberg", alg, max_weight=max_weight,
+                               max_index=max_index, classes=classes).to_record()
+        assert got == _generic_heisenberg_record(alg, max_weight, max_index, classes)
 
 
 def test_heisenberg_rows_keep_the_errors(p2, torus):
