@@ -32,10 +32,12 @@ from .operators import (
     Instance,
     LinearOperator,
     Report,
+    _Rows,
     _basis_monomials_upto,
     _boundary_mono,
     _check_instances,
     _grading,
+    _sign,
     q,
     supercommutator,
     zero_operator,
@@ -227,19 +229,30 @@ def commutator_expand(g, a, mono, bracket_oracle=None):
 # -- nested-bracket identity and filtration reports ----------------------------
 
 
-def _nested_bracket_instance(k, gamma, alphas, monomials, params):
+def _nested_bracket_instance(k, gamma, alphas, rows, params):
     """The identity of nested_bracket_check as one instance of the shared
-    check driver, run on `monomials` and reporting `params`."""
+    check driver, run on the monomials of `rows` and reporting `params`.
+
+    Its left side expands into words: [W, q_1(a)] = W q_1(a) - s q_1(a) W,
+    with s the Koszul sign.  Equal words are merged before they are composed
+    from rows, so with every a_i = 1 the k-fold bracket has k + 1 words."""
     alphas = list(alphas)
     if len(alphas) != k + 1:
         raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
     prod = mul(gamma, alphas[0])
-    lhs = q1_kth_bracket(k, prod) * ratio(1, math.factorial(k))
+    x = rows.op(q1_kth_bracket, k, prod, rows.scale ** k)
+    words, parity, scale = {(x,): 1}, _grading(prod, 0)[1], x.scale * math.factorial(k)
     for a in alphas[1:]:
-        lhs = supercommutator(lhs, q(1, a))
+        y, y_parity = rows.q(1, a), _grading(a, 0)[1]
+        sign = _sign(parity, y_parity)
+        merged = {}
+        for word, c in words.items():
+            axpy(merged, {word + (y,): c, (y,) + word: -sign * c})
+        words, parity, scale = merged, (parity + y_parity) & 1, scale * y.scale
         prod = mul(prod, a)
-    return Instance(None, params, lhs.fn, (((-1) ** k, q(k + 1, prod).fn),), 0,
-                    monomials)
+    lhs = rows.check_map(rows.words(tuple(words.items())), scale)
+    return Instance(None, params, lhs, (((-1) ** k, q(k + 1, prod).fn),), 0,
+                    rows.monomials)
 
 
 def nested_bracket_check(k, gamma, alphas, algebra, max_weight):
@@ -253,8 +266,8 @@ def nested_bracket_check(k, gamma, alphas, algebra, max_weight):
     remaining brackets.
     """
     alphas = list(alphas)
-    instance = _nested_bracket_instance(
-        k, gamma, alphas, _basis_monomials_upto(algebra, max_weight), {"k": k})
+    rows = _Rows(algebra, _basis_monomials_upto(algebra, max_weight))
+    instance = _nested_bracket_instance(k, gamma, alphas, rows, {"k": k})
     report = Report("nested_bracket", algebra.name,
                     {"k": k, "gamma": repr(gamma),
                      "alphas": [repr(a) for a in alphas]}, max_weight)

@@ -16,12 +16,11 @@ suite is an entry of SUITES that lists its identity instances: label, params,
 left map, right maps with scalars, central scalar and the monomials to run
 on.  One driver (_check_instances) checks every instance on its monomials, in
 order and on one thread, and fills the Report; verify_relations and
-nested_bracket_check both go through it.  The Heisenberg suite composes rows
-instead of building supercommutator maps: the image of q_n(a) on a monomial
-comes from the q kernels once and is kept in a per-sweep table, which holds
-only the sweep's own monomials and so is bounded by the sweep weight.  Each
-product q_n(a) q_m(b) e is composed once per sweep: instance (n, m, a, b)
-keeps its nonzero images, and the mirror instance (m, n, b, a) reads them.
+nested_bracket_check both go through it.  The heisenberg, Lq, LL, qprime and
+nested_bracket suites build their left sides by composing int rows of q, L_n,
+d and q_1^(k) (_Rows), kept per sweep for the sweep's own monomials; the
+heisenberg and LL sweeps compose each product once for an instance and its
+mirror.  Right sides and the expansion suite apply the operators below.
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -29,6 +28,7 @@ when the weight cap changes, so a warm table raises TruncationExceeded
 exactly where a cold one would.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -40,7 +40,7 @@ from ._linalg import axpy
 from ._rat import exact, ratio
 from .errors import MixedDegree, SingularGram
 from .fock import FockVector, contract_into, create_into, extend, memo
-from .surface import integral, mul
+from .surface import AlgebraElement, integral, mul
 
 
 def _check_algebras(f, x):
@@ -203,24 +203,40 @@ def _virasoro_mono(algebra, n, color, mono):
     first, with weight 1, and the diagonal m = n - m with weight 1/2: the sum
     is taken with weights 2 and 1 and halved at the end, the one division.
     No intermediate outweighs the larger of the monomial and the result.
+    An annihilation acting first takes a part (-m2, c) out with the factor
+    m2 w_u(c) of the contracted diagonal (contracted_kunneth); e_v
+    pairs with e_c only in the complementary degree, so it has c's parity.
     """
     w = fock.weight(mono)
-    terms = {mono: 1}
     acc = {}
-    triples = algebra.kunneth_triples(color)
+    parities = algebra.parities
     for m2 in range(-w, n // 2 + 1):  # q_{m2} acts first, then q_{n-m2}
         m1 = n - m2
         if not m1 or not m2:
             continue
         outer, size1 = _q_kernel(m1)
-        inner_kernel, size2 = _q_kernel(m2)
         scale = 1 if m1 == m2 else 2
-        for u, v, t in triples:
-            inner = {}
-            inner_kernel(inner, size2, v, terms, t, algebra)
-            if inner:
-                outer(acc, size1, u, inner, scale, algebra)
-    return {m: ratio(c, 2) for m, c in acc.items()}
+        if m2 > 0:
+            for u, v, t in algebra.kunneth_triples(color):
+                inner = {}
+                create_into(inner, m2, v, {mono: 1}, t, algebra)
+                if inner:
+                    outer(acc, size1, u, inner, scale, algebra)
+            continue
+        contracted = algebra.contracted_kunneth(color)
+        inners = {}  # u -> the terms q_{m2} leaves for q_{m1}(e_u)
+        passed_odd = 0
+        for j, (s, c) in enumerate(mono):
+            if s == -m2 and contracted[c]:
+                sign = -m2 if parities[c] and passed_odd & 1 else m2
+                rest = mono[:j] + mono[j + 1:]
+                for u, wu in contracted[c]:
+                    axpy(inners.setdefault(u, {}), {rest: sign * wu})
+            passed_odd += parities[c]
+        for u, inner in inners.items():
+            outer(acc, size1, u, inner, scale, algebra)
+    return {m: c >> 1 if c.__class__ is int and not c & 1 else ratio(c, 2)
+            for m, c in acc.items()}
 
 
 def virasoro(n, alpha):
@@ -492,145 +508,225 @@ def _index_range(bound):
     return [k for k in range(-bound, bound + 1) if k != 0]
 
 
-def _heisenberg(algebra, bound, classes, monomials):
-    """[q_n(a), q_m(b)] checked by composing rows.
+class _Op:
+    """One operator's rows: image(mono) is `scale` times its image, and
+    `table` keeps its rows on the sweep monomials."""
 
-    The row of q_n(classes[i]) on a monomial is its image as a tuple of
-    (key, coeff) pairs, built by the q kernels on classes[i] times the common
-    denominator of its coefficients, so rows hold ints.  A sweep monomial is
-    keyed by its index in `monomials`, any other monomial by itself.  Rows of
-    sweep monomials are kept in a table that lives as long as this
-    generator; the others are built and dropped, so the table is bounded by
-    the sweep weight.
+    __slots__ = ("table", "image", "scale")
 
-    Both products of a pair of slots (n, i) != (m, j) are composed once.  The
-    instance that comes first in the sweep order checks f g - s g f with
-    f = q_n(classes[i]), g = q_m(classes[j]) and s the Koszul sign, and keeps
-    each nonzero image under its slots and monomial key.  The mirror instance
-    (m, n, j, i) takes [g, f] = g f - s f g = -s (f g - s g f) from the kept
-    image, dropping it as it reads it, and computes its own central term
-    m int(b a).  The diagonal slot (n, i) = (m, j) composes f f once and
-    scales it by 1 - s.  So the instances must be checked in order, each on
-    every monomial before the next is made, as _check_instances does.
+    def __init__(self, size, image, scale):
+        self.table, self.image, self.scale = [None] * size, image, scale
+
+
+def _den(values):
+    return math.lcm(*(int(x.denominator) for x in values))
+
+
+def _whole(c):
+    """c as an int; ArithmeticError when it is not whole, so no row rounds."""
+    if c.__class__ is not int and c.denominator != 1:
+        raise ArithmeticError(f"row coefficient {c} is not whole")
+    return int(c)
+
+
+def _sign(p, r):
+    """The Koszul sign of [f, g] for the parities p of f and r of g."""
+    if p is None or r is None:
+        raise MixedDegree("supercommutator needs homogeneous parities")
+    return -1 if p and r else 1
+
+
+class _Rows:
+    """One sweep's operators as int rows, composed into words.
+
+    The row of an op on a monomial is its scaled image as a tuple of
+    (key, int) pairs, a sweep monomial keyed by its index in `monomials` and
+    any other by itself.  Only the rows of sweep monomials are kept, so the
+    tables are bounded by the sweep weight.  Rows of q come from the kernels,
+    rows of L_n, d and q_1^(k) from the memo images.  An op's image never
+    refers to the _Rows: a cycle through `ops` would keep every row alive
+    until a garbage collection.
     """
-    idx = _index_range(bound)
-    ids = {mono: k for k, mono in enumerate(monomials)}
-    dens = [math.lcm(*(int(c.denominator) for c in a.coeffs.values()))
-            for a in classes]
-    # (n, i) -> (row table, kernel, part size, scaled coefficients)
-    ops = {(n, i): ([None] * len(monomials),) + _q_kernel(n)
-           + ([(color, int(c * den)) for color, c in a.coeffs.items()],)
-           for n in idx for i, (a, den) in enumerate(zip(classes, dens))}
 
-    def row(op, key):
-        """The row of op on the keyed monomial, kept when that is a sweep
-        monomial; callers look in the table first."""
-        table, kernel, size, items = op
-        mono = monomials[key] if key.__class__ is int else key
-        acc, terms = {}, {mono: 1}
-        for color, coeff in items:
-            kernel(acc, size, color, terms, coeff, algebra)
-        image = tuple([(ids.get(t, t), c) for t, c in acc.items()])
-        if key.__class__ is int:
-            table[key] = image
-        return image
+    def __init__(self, algebra, monomials):
+        self.algebra, self.monomials = algebra, monomials
+        self.ids = {mono: k for k, mono in enumerate(monomials)}
+        self.pairing_den = _den(sum(algebra.pairing, []))
+        self.ops, self.kept = {}, {}
 
-    def compose(acc, outer, inner, key, scale):
-        # acc += scale * outer(inner(keyed monomial))
-        first = inner[0][key] if key.__class__ is int else None
-        if first is None:
-            first = row(inner, key)
-        table = outer[0]
-        for mid, c in first:
-            image = table[mid] if mid.__class__ is int else None
-            if image is None:
-                image = row(outer, mid)
-            c *= scale
-            for target, d in image:
-                acc[target] = acc.get(target, 0) + c * d
+    def op(self, make, index, alpha, factor=1):
+        """make(index, alpha) as an op whose scale is `factor` times the common
+        denominator of alpha; make is q, virasoro, q1_kth_bracket or
+        _scaled_d, and is called on alpha times that scale."""
+        key = (make, index, frozenset(alpha.coeffs.items()), factor)
+        if key not in self.ops:
+            scale = _den(alpha.coeffs.values()) * factor
+            fn = make(index, AlgebraElement(self.algebra, {
+                c: _whole(x * scale) for c, x in alpha.coeffs.items()})).fn
+            self.ops[key] = _Op(len(self.monomials), lambda mono: fn({mono: 1}), scale)
+        return self.ops[key]
 
-    def paired(f, g, sign, kept):
-        # f g - sign g f, kept for the mirror when nonzero
+    @functools.cached_property
+    def scale(self):
+        """An int D making D L_n(e_c), D d and D^k q_1^(k)(e_c) whole on basis
+        monomials: an L term carries 1/2, one Kunneth coefficient and at most
+        two pairing entries, and d adds the coefficients of K e_c."""
+        alg = self.algebra
+        kunneth = _den(t for c in range(alg.dim) for _, _, t in alg.kunneth_triples(c))
+        canonical = _den(k * x for i, k in alg.canonical_class.coeffs.items()
+                         for c in range(alg.dim) for x in alg.mul_basis(i, c).values())
+        return math.lcm(2 * kunneth * self.pairing_den ** 2, canonical)
+
+    def q(self, n, alpha):
+        """q_n(alpha); annihilations are scaled by the pairing's denominator."""
+        return self.op(q, n, alpha, self.pairing_den if n < 0 else 1)
+
+    def row(self, op, key):
+        """op's row on the keyed monomial, from its table when kept."""
+        kept = key.__class__ is int
+        if kept and op.table[key] is not None:
+            return op.table[key]
+        ids = self.ids
+        got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c)) for t, c
+                     in op.image(self.monomials[key] if kept else key).items()])
+        if kept:
+            op.table[key] = got
+        return got
+
+    def words(self, words, kept=None):
+        """The image of the sum of coeff * word[0] ... word[-1] over the
+        (word, coeff) pairs, composed from rows; nonzero images are also put
+        in `kept` under the monomial key."""
+        row = self.row
+        plans = [(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1], coeff)
+                 for w, coeff in words]
+
         def image(key):
             acc = {}
-            compose(acc, f, g, key, 1)
-            compose(acc, g, f, key, -sign)
-            acc = {t: c for t, c in acc.items() if c}
-            if acc:
-                kept[key] = tuple(acc.items())
+            for outer, table, inner, middle, coeff in plans:
+                if inner is None:
+                    terms = ((key, 1),)
+                else:
+                    terms = inner.table[key] if key.__class__ is int else None
+                    if terms is None:
+                        terms = row(inner, key)
+                for op in middle:
+                    mid = {}
+                    for k, c in terms:
+                        for t, d in row(op, k):
+                            mid[t] = mid.get(t, 0) + c * d
+                    terms = [(t, c) for t, c in mid.items() if c]
+                for mid, c in terms:
+                    image = table[mid] if mid.__class__ is int else None
+                    if image is None:
+                        image = row(outer, mid)
+                    c *= coeff
+                    for t, d in image:
+                        acc[t] = acc.get(t, 0) + c * d
+            if kept is not None:
+                acc = {t: c for t, c in acc.items() if c}
+                if acc:
+                    kept[key] = tuple(acc.items())
             return acc
         return image
 
-    def diagonal(f, sign):
-        def image(key):
-            acc = {}
-            compose(acc, f, f, key, 1 - sign)
-            return acc
-        return image
+    def check_map(self, image, den):
+        """The Instance map of image / den; a whole quotient stays an int."""
+        ids, monomials = self.ids, self.monomials
 
-    def mirrored(sign, kept):
-        # [g, f] = g f - sign f g = -sign (f g - sign g f)
-        def image(key):
-            return {t: -sign * c for t, c in kept.pop(key, ())}
-        return image
-
-    parities = [_grading(a, 0)[1] for a in classes]
-    kept = {}  # (n, i, m, j) of a first instance -> {key: nonzero image items}
-    pairs = itertools.product(range(len(classes)), repeat=2)
-    for n, m, (i, j) in itertools.product(idx, idx, pairs):
-        if parities[i] is None or parities[j] is None:
-            raise MixedDegree("supercommutator needs homogeneous parities")
-        sign = -1 if parities[i] and parities[j] else 1
-        if (n, i) == (m, j):
-            image = diagonal(ops[n, i], sign)
-        elif (n, i) < (m, j):
-            kept[n, i, m, j] = {}
-            image = paired(ops[n, i], ops[m, j], sign, kept[n, i, m, j])
-        else:
-            image = mirrored(sign, kept.pop((m, j, n, i)))
-
-        def bracket(terms, image=image, den=dens[i] * dens[j]):
+        def fn(terms):
             acc = {}
             for mono, c in terms.items():
                 axpy(acc, image(ids.get(mono, mono)), c)
+            if den == 1:
+                return {(monomials[t] if t.__class__ is int else t): c
+                        for t, c in acc.items()}
             return {(monomials[t] if t.__class__ is int else t):
-                    c if den == 1 else ratio(c, den) for t, c in acc.items()}
+                    c // den if not c % den else ratio(c, den) for t, c in acc.items()}
+        return fn
 
-        a, b = classes[i], classes[j]
+    def bracket(self, f, g, sign, slots=None):
+        """The check map of [f, g] = f g - sign g f.
+
+        Given the slots (first, second) of f and g in one family, each product
+        of two slots is composed once per sweep: the first pair keeps its
+        nonzero images, and its mirror (second, first) pops them, as
+        [g, f] = -sign [f, g]; f f is composed once, times 1 - sign.  So each
+        instance must be checked on every monomial before the next is made,
+        as _check_instances does.
+        """
+        first, second = slots or (0, 1)
+        if first == second:
+            image = self.words((((f, f), 1 - sign),))
+        elif first > second:
+            kept = self.kept.pop((second, first))
+
+            def image(key):
+                return {t: -sign * c for t, c in kept.pop(key, ())}
+        else:
+            image = self.words((((f, g), 1), ((g, f), -sign)),
+                               self.kept.setdefault(slots, {}) if slots else None)
+        return self.check_map(image, f.scale * g.scale)
+
+
+def _slot_pairs(rows, ops, idx, classes):
+    """(n, m, a, b, [ops[n, i], ops[m, j]]) for a = classes[i], b = classes[j]
+    in sweep order, each product composed once (see _Rows.bracket)."""
+    parities = [_grading(a, 0)[1] for a in classes]
+    slots = itertools.product(range(len(classes)), repeat=2)
+    for n, m, (i, j) in itertools.product(idx, idx, slots):
+        yield n, m, classes[i], classes[j], rows.bracket(
+            ops[n, i], ops[m, j], _sign(parities[i], parities[j]), ((n, i), (m, j)))
+
+
+def _heisenberg(algebra, bound, classes, monomials):
+    rows, idx = _Rows(algebra, monomials), _index_range(bound)
+    ops = {(n, i): rows.q(n, a) for n in idx for i, a in enumerate(classes)}
+    for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
         central = n * integral(mul(a, b)) if n + m == 0 else 0
-        yield _pair_instance(n, m, a, b, bracket, (), central, monomials)
+        yield _pair_instance(n, m, a, b, lhs, (), central, monomials)
 
 
 def _lq(algebra, bound, classes, monomials):
-    idx = range(-bound, bound + 1)
+    rows, idx = _Rows(algebra, monomials), range(-bound, bound + 1)
     for n, m, a, b in itertools.product(idx, idx, classes, classes):
         if m:
-            yield _pair_instance(n, m, a, b,
-                                 supercommutator(virasoro(n, a), q(m, b)).fn,
-                                 ((-m, q(n + m, mul(a, b)).fn),), 0, monomials)
+            lhs = rows.bracket(rows.op(virasoro, n, a, rows.scale), rows.q(m, b),
+                               _sign(_grading(a, 0)[1], _grading(b, 0)[1]))
+            yield _pair_instance(n, m, a, b, lhs, ((-m, q(n + m, mul(a, b)).fn),),
+                                 0, monomials)
 
 
 def _ll(algebra, bound, classes, monomials):
-    idx = range(-bound, bound + 1)
-    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+    rows, idx = _Rows(algebra, monomials), range(-bound, bound + 1)
+    ops = {(n, i): rows.op(virasoro, n, a, rows.scale)
+           for n in idx for i, a in enumerate(classes)}
+    for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
         ab = mul(a, b)
         central = 0
         if n + m == 0:
             central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
         rhs = ((n - m, virasoro(n + m, ab).fn),) if n != m else ()
-        yield _pair_instance(n, m, a, b,
-                             supercommutator(virasoro(n, a), virasoro(m, b)).fn,
-                             rhs, central, monomials)
+        yield _pair_instance(n, m, a, b, lhs, rhs, central, monomials)
+
+
+def _scaled_d(_, unit_multiple):
+    """d times the unit's coefficient in unit_multiple: d as a make of
+    _Rows.op, which calls it on the unit times the op's scale."""
+    return boundary_d(unit_multiple.algebra) * unit_multiple.coeffs[
+        unit_multiple.algebra.unit_index]
 
 
 def _qprime(algebra, bound, classes, monomials):
+    rows = _Rows(algebra, monomials)
+    d = rows.op(_scaled_d, None, algebra.unit(), rows.scale)
     for n, a in itertools.product(_index_range(bound), classes):
         k_scale = n * (abs(n) - 1) // 2
         rhs = ((n, virasoro(n, a).fn),)
         if k_scale:
             rhs += ((k_scale, q(n, mul(algebra.canonical_class, a)).fn),)
-        yield Instance(f"n={n}", {"n": n, "alpha": repr(a)},
-                       derivative(q(n, a), 1).fn, rhs, 0, monomials)
+        lhs = rows.bracket(d, rows.q(n, a), _sign(0, _grading(a, 0)[1]))
+        yield Instance(f"n={n}", {"n": n, "alpha": repr(a)}, lhs, rhs, 0, monomials)
 
 
 def _index_suite(instances, default_bound, even=False):
@@ -687,13 +783,13 @@ def _nested_bracket(algebra, max_weight):
     unit = algebra.unit()
     sample = [algebra.basis_element(c) for c in _sample_colors(
         algebra, (0, 1, 2, algebra.dim // 2, algebra.dim - 1))]
-    monomials = _basis_monomials_upto(algebra, max_weight)
+    rows = _Rows(algebra, _basis_monomials_upto(algebra, max_weight))
     instances = []
     for k in range(4):
         tuples = [(gamma, [unit] * (k + 1)) for gamma in [unit] + sample]
         if k >= 1 and algebra.dim > 4:
             tuples.append((sample[1], [sample[2]] + [unit] * k))
-        instances += [_nested_bracket_instance(k, gamma, alphas, monomials,
+        instances += [_nested_bracket_instance(k, gamma, alphas, rows,
                                                {"k": k, "gamma": repr(gamma)})
                       for gamma, alphas in tuples]
     return {"k": "<=3", "tuples": "unit + basis samples"}, instances

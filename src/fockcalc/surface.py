@@ -129,6 +129,7 @@ class SurfaceAlgebra:
         if self._dual_coeffs is None:
             raise SingularPairing(f"{name}: pairing matrix is singular")
         self._diagonal_cache = {}
+        self._contracted_cache = {}
         # {kind: {key: image}} memo tables of the operator workers, and the
         # weight cap they were filled under (see fock.memo)
         self._op_caches = {}
@@ -230,6 +231,17 @@ class SurfaceAlgebra:
         triples = tuple((u, v, t) for (u, v), t in zip(unknowns, sol[0]) if t)
         self._diagonal_cache[i] = triples
         return triples
+
+    def contracted_kunneth(self, i):
+        """The diagonal of class i contracted on its right factor: row c lists
+        the nonzero (u, w_u(c)), w_u(c) = sum_v t_uv int(e_v e_c)."""
+        if i not in self._contracted_cache:
+            rows = [{} for _ in range(self.dim)]
+            for u, v, t in self.kunneth_triples(i):
+                for c, p in enumerate(self.pairing[v]):
+                    axpy(rows[c], {u: t * p})
+            self._contracted_cache[i] = [tuple(row.items()) for row in rows]
+        return self._contracted_cache[i]
 
 
 # -- module-level operations (the public spellings) -------------------------

@@ -163,6 +163,42 @@ def test_virasoro_matches_the_quadratic_definition(p2, torus):
                     assert virasoro(n, e)(v) == direct.scale(scale), (n, c, v)
 
 
+@pytest.mark.parametrize("name, scale, max_weight", (
+    ("p2", 1, 3), ("p1xp1", 1, 3), ("torus_like", 1, 3), ("point", 1, 3),
+    ("p2", Rat(2, 3), 3), ("torus_like", Rat(-1, 2), 2)))
+def test_virasoro_kernel_matches_the_triples(name, scale, max_weight):
+    # the contracted kernel against the triple-by-triple loop it replaced, on
+    # every colour, n in -3..3 and monomial; the scaled torus_like stops at
+    # weight 2, since its weight 3 alone would take about 7 s
+    from closure_suites import fresh_algebra, triple_virasoro_mono
+    from fockcalc.operators import _virasoro_mono
+    alg = fresh_algebra(name, scale)
+    kernel = _virasoro_mono.__wrapped__
+    for mono in (m for w in range(max_weight + 1) for m in monomial_basis(w, alg)):
+        for n in range(-3, 4):
+            for c in range(alg.dim):
+                assert (kernel(alg, n, c, mono)
+                        == triple_virasoro_mono(alg, n, c, mono)), (n, c, mono)
+
+
+def test_contracted_kernel_reads_the_kunneth_triples():
+    # one Kunneth coefficient of the unit doubled before the first L call
+    # changes L as the triples say, so the contracted diagonal is summed from
+    # the triples, not rebuilt from the product
+    from closure_suites import fresh_algebra, triple_virasoro_mono
+    from fockcalc.operators import _virasoro_mono
+    clean, alg = fresh_algebra("p2"), fresh_algebra("p2")
+    (u, v, t), *rest = alg.kunneth_triples(0)
+    alg._diagonal_cache[0] = ((u, v, 2 * t), *rest)
+    changed = 0
+    for mono in (m for w in range(4) for m in monomial_basis(w, alg)):
+        for n in range(-3, 4):
+            got = _virasoro_mono(alg, n, 0, mono)
+            assert got == triple_virasoro_mono(alg, n, 0, mono), (n, mono)
+            changed += got != _virasoro_mono(clean, n, 0, mono)
+    assert changed
+
+
 # -- boundary operator --------------------------------------------------------------
 
 
@@ -418,40 +454,25 @@ def test_verify_relations_runs_on_one_thread(p2):
         verify_relations("Lq", p2, max_weight=2, max_index=1, jobs=2)
 
 
-# -- the Heisenberg suite's row path against the generic supercommutator --------
+# -- the row-composing suites against the closure path ---------------------------
 
 
-def _generic_heisenberg_record(alg, max_weight, max_index, classes):
-    """The record of the Heisenberg sweep built from supercommutator(q, q)
-    maps, in the sweep's instance order.  The central term reads the product
-    through operators.mul, as the sweep does, so a mutant patched there acts
-    on both."""
-    from fockcalc import operators
-    from fockcalc.operators import (Report, _basis_monomials_upto,
-                                    _check_instances, _index_range, _pair_instance)
-    from fockcalc.surface import integral
-    monos = _basis_monomials_upto(alg, max_weight)
-    idx = _index_range(max_index)
-    instances = (
-        _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn, (),
-                       n * integral(operators.mul(a, b)) if n + m == 0 else 0,
-                       monos)
-        for n in idx for m in idx for a in classes for b in classes)
-    report = Report("heisenberg", alg.name,
-                    {"max_index": max_index, "classes": len(classes)}, max_weight)
-    return _check_instances(report, alg, instances).to_record()
-
-
-def _flip_annihilation(monkeypatch):
+def _flip_annihilation(monkeypatch, algebras):
+    # every annihilation: the q_{-n} kernel and the contracted diagonal that
+    # L_n reads in place of an annihilation acting first
     from fockcalc import fock, operators
+    from fockcalc.surface import SurfaceAlgebra
 
     def flipped(acc, size, color, terms, coeff, algebra):
         fock.contract_into(acc, size, color, terms, -coeff, algebra)
 
+    contracted = SurfaceAlgebra.contracted_kunneth
     monkeypatch.setattr(operators, "contract_into", flipped)
+    monkeypatch.setattr(SurfaceAlgebra, "contracted_kunneth", lambda alg, i: [
+        tuple((u, -w) for u, w in row) for row in contracted(alg, i)])
 
 
-def _drop_koszul(monkeypatch):
+def _drop_koszul(monkeypatch, algebras):
     from fockcalc import fock
     prepend = fock.prepend_part
 
@@ -462,9 +483,9 @@ def _drop_koszul(monkeypatch):
     monkeypatch.setattr(fock, "prepend_part", unsigned)
 
 
-def _order_central(monkeypatch):
-    # a b doubled when a's first basis index exceeds b's: the sweep reads mul
-    # only for its central term, so only that term sees the order
+def _order_central(monkeypatch, algebras):
+    # a b doubled when a's first basis index exceeds b's: the Heisenberg
+    # sweep reads mul only for its central term, so only that term sees it
     from fockcalc import operators, surface
 
     def ordered(a, b):
@@ -475,51 +496,119 @@ def _order_central(monkeypatch):
     monkeypatch.setattr(operators, "mul", ordered)
 
 
-# mutant -> the algebras on which it must be seen; the Koszul sign needs odd
-# classes, so p2 cannot see it.  The central-order mutant is seen only if the
-# mirror instance (m, n, b, a) computes its own central term m int(b a)
+def _double_l_diagonal(monkeypatch, algebras):
+    # L_n with its diagonal term m = n - m weighted 2 in place of 1
+    from closure_suites import triple_virasoro_mono
+    from fockcalc import operators
+    images = {}
+
+    def doubled(algebra, n, color, mono):
+        key = (algebra.name, n, color, mono)
+        if key not in images:
+            images[key] = triple_virasoro_mono(algebra, n, color, mono, diagonal=2)
+        return images[key]
+
+    monkeypatch.setattr(operators, "_virasoro_mono", doubled)
+
+
+def _shift_canonical(monkeypatch, algebras):
+    # K + h on p2, K + x1 on torus_like
+    for alg in algebras:
+        shift = alg.basis_element("h" if alg.name == "p2" else "x1")
+        monkeypatch.setattr(alg, "canonical_class", alg.canonical_class + shift)
+
+
+# mutant -> (patch, {suite: the algebras on which it must be seen}), the same
+# suites as the closure path shows.  p2 cannot see the Koszul sign; the
+# central-order mutant is seen by the Heisenberg sweep only if the mirror
+# instance (m, n, b, a) computes its own central term m int(b a); no suite
+# here pins K on p2, and qprime reads K on both sides
 HEISENBERG_MUTANTS = {
-    "clean": (None, ()),
-    "annihilation sign": (_flip_annihilation, ("p2", "torus_like")),
-    "Koszul sign": (_drop_koszul, ("torus_like",)),
-    "central order": (_order_central, ("p2", "torus_like")),
+    "clean": (None, {}),
+    "annihilation sign": (_flip_annihilation, {
+        "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
+        "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
+    "Koszul sign": (_drop_koszul, {
+        "heisenberg": ("torus_like",), "qprime": ("torus_like",),
+        "nested_bracket": ("torus_like",)}),
+    "central order": (_order_central, {
+        "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
+        "LL": ("p2", "torus_like")}),
+    "L diagonal weight": (_double_l_diagonal, {"qprime": ("p2",)}),
+    "canonical class": (_shift_canonical, {"nested_bracket": ("torus_like",)}),
 }
+CALCULUS_SUITES = ("Lq", "LL", "qprime", "nested_bracket")
 
 
-@pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
-def test_heisenberg_rows_match_the_generic_path(p2, torus, monkeypatch, mutant):
+def _mutated(monkeypatch, mutant):
+    """Fresh p2 and torus_like with `mutant` applied, and every discrepancy
+    kept, so that records compare in full: a mirror instance failing in place
+    of its first instance changes no count."""
+    from closure_suites import fresh_algebra
     from fockcalc.operators import Report
-    # keep every discrepancy, so that the records compare in full: a mirror
-    # instance failing in place of its first instance changes no count
     monkeypatch.setattr(Report, "max_kept", 10 ** 9)
-    patch, seen_on = HEISENBERG_MUTANTS[mutant]
+    algebras = fresh_algebra("p2"), fresh_algebra("torus_like")
+    patch = HEISENBERG_MUTANTS[mutant][0]
     if patch:
-        patch(monkeypatch)
-    # basis classes of both parities, and combinations with denominators
-    sweeps = (
-        (p2, 3, 2, p2.basis_elements() + [parse_element(p2, "3/4*h - 2*h2")]),
-        (torus, 2, 1, [torus.basis_element(c) for c in
-                       ("1", "x1", "x2x3x4", "x1x2", "x3x4", "x1x2x3x4")]
-         + [parse_element(torus, "1/2*x1 + 3*x3"),
-            parse_element(torus, "2/3*x1x2 - 5*x3x4")]),
-    )
-    for alg, max_weight, max_index, classes in sweeps:
-        got = verify_relations("heisenberg", alg, max_weight=max_weight,
-                               max_index=max_index, classes=classes).to_record()
-        assert got == _generic_heisenberg_record(alg, max_weight, max_index, classes)
-        assert got["passed"] is (alg.name not in seen_on), (mutant, alg.name)
+        patch(monkeypatch, algebras)
+    return algebras
+
+
+def _calculus_sweeps(p2, torus):
+    """(algebra, weight, max_index, suite -> classes): basis classes and
+    combinations with denominators; Lq and LL take even classes on
+    torus_like, as the acceptance suites do."""
+    p2_classes = p2.basis_elements() + [parse_element(p2, "3/4*h - 2*h2")]
+    even = [parse_element(torus, t) for t in
+            ("1", "x1x2", "x3x4", "x1x2x3x4", "2/3*x1x2 - 5*x3x4")]
+    mixed = [parse_element(torus, t) for t in
+             ("1", "x1", "x1x2", "x1x2x3", "1/2*x1 + 3*x3")]
+    return ((p2, 2, 1, {"Lq": p2_classes, "LL": p2_classes, "qprime": p2_classes}),
+            (torus, 1, 1, {"Lq": even, "LL": even, "qprime": mixed}))
+
+
+def _row_and_closure_records(suite, alg, max_weight, max_index, classes):
+    from closure_suites import closure_record
+    if suite == "nested_bracket":
+        return (verify_relations(suite, alg, max_weight=max_weight).to_record(),
+                closure_record(suite, alg, max_weight))
+    return (verify_relations(suite, alg, max_weight=max_weight, max_index=max_index,
+                             classes=classes).to_record(),
+            closure_record(suite, alg, max_weight, max_index, classes))
 
 
 @pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
-def test_heisenberg_pairs_on_edge_class_lists(p2, torus, monkeypatch, mutant):
+def test_heisenberg_rows_match_the_generic_path(monkeypatch, mutant):
+    p2, torus = _mutated(monkeypatch, mutant)
+    seen_on = HEISENBERG_MUTANTS[mutant][1]
+    # basis classes of both parities, and combinations with denominators; the
+    # Heisenberg sweep reads no L, d or K, so it runs for its own mutants only
+    sweeps = (
+        (p2, 3, 2, {"heisenberg": p2.basis_elements()
+                    + [parse_element(p2, "3/4*h - 2*h2")]}),
+        (torus, 2, 1, {"heisenberg": [torus.basis_element(c) for c in
+                                      ("1", "x1", "x2x3x4", "x1x2", "x3x4", "x1x2x3x4")]
+                       + [parse_element(torus, "1/2*x1 + 3*x3"),
+                          parse_element(torus, "2/3*x1x2 - 5*x3x4")]}),
+    ) * (mutant == "clean" or "heisenberg" in seen_on) + _calculus_sweeps(p2, torus)
+    for alg, max_weight, max_index, classes in sweeps:
+        for suite in list(classes) + ["nested_bracket"] * ("Lq" in classes):
+            got, want = _row_and_closure_records(suite, alg, max_weight, max_index,
+                                                 classes.get(suite))
+            assert got == want, (mutant, suite, alg.name)
+            assert got["passed"] is (alg.name not in seen_on.get(suite, ())), (
+                mutant, suite, alg.name)
+
+
+@pytest.mark.parametrize("mutant", sorted(
+    m for m, (_, seen_on) in HEISENBERG_MUTANTS.items()
+    if m == "clean" or "heisenberg" in seen_on))
+def test_heisenberg_pairs_on_edge_class_lists(monkeypatch, mutant):
     # repeated classes share a value but not a slot, so the mirror's kept
     # images must be found by slot; x1 is odd, so its diagonal slots check
     # 2 q_n(x1) q_n(x1) e
-    from fockcalc.operators import Report
-    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
-    patch = HEISENBERG_MUTANTS[mutant][0]
-    if patch:
-        patch(monkeypatch)
+    from closure_suites import closure_record
+    p2, torus = _mutated(monkeypatch, mutant)
     h, unit = p2.basis_element("h"), p2.unit()
     x1, x3 = torus.basis_element("x1"), torus.basis_element("x3")
     sweeps = (
@@ -533,7 +622,7 @@ def test_heisenberg_pairs_on_edge_class_lists(p2, torus, monkeypatch, mutant):
     for alg, max_weight, max_index, classes in sweeps:
         got = verify_relations("heisenberg", alg, max_weight=max_weight,
                                max_index=max_index, classes=classes).to_record()
-        assert got == _generic_heisenberg_record(alg, max_weight, max_index, classes)
+        assert got == closure_record("heisenberg", alg, max_weight, max_index, classes)
 
 
 def test_heisenberg_rows_keep_the_errors(p2, torus):
@@ -546,3 +635,55 @@ def test_heisenberg_rows_keep_the_errors(p2, torus):
             verify_relations("heisenberg", p2, max_weight=3)
     finally:
         set_max_weight(previous)
+
+
+@pytest.mark.parametrize("suite", CALCULUS_SUITES)
+def test_calculus_rows_keep_the_errors(p2, torus, suite):
+    # a class of mixed parity has no Koszul sign; at the cap, L_n, d, q_n and
+    # q_1^(k) on a weight-3 monomial climb past it
+    mixed, unit = parse_element(torus, "1+x1"), torus.unit()
+    with pytest.raises(MixedDegree):
+        if suite == "nested_bracket":
+            nested_bracket_check(1, unit, [unit, mixed], torus, 1)
+        else:
+            verify_relations(suite, torus, max_weight=1, max_index=1, classes=[mixed])
+    previous = set_max_weight(3)
+    try:
+        with pytest.raises(TruncationExceeded):
+            if suite == "nested_bracket":
+                verify_relations(suite, p2, max_weight=3)
+            else:
+                verify_relations(suite, p2, max_weight=3, max_index=1)
+    finally:
+        set_max_weight(previous)
+
+
+# p2 with int(h2) = 2/3 (Kunneth coefficient 3/2) and torus_like with its
+# integral times -1/2: no preset has a pairing or a Kunneth coefficient that is
+# not an int, so only these show a row scale that is too small
+SCALED = (("p2", Rat(2, 3), 3, 2), ("torus_like", Rat(-1, 2), 1, 1))
+
+
+@pytest.mark.parametrize("name, scale, max_weight, max_index", SCALED)
+@pytest.mark.parametrize("suite", CALCULUS_SUITES)
+def test_rows_are_exact_on_non_integral_algebras(monkeypatch, suite, name, scale,
+                                                 max_weight, max_index):
+    from closure_suites import fresh_algebra
+    from fockcalc.operators import Report
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
+    alg = fresh_algebra(name, scale)
+    classes = alg.basis_elements() if suite != "LL" else alg.even_basis_elements()
+    got, want = _row_and_closure_records(suite, alg, max_weight, max_index, classes)
+    assert got == want
+    assert got["passed"]
+
+
+def test_rows_refuse_a_coefficient_that_is_not_whole(monkeypatch):
+    # with the row scale forced to 1, images of L_n on p2 at int(h2) = 2/3 are
+    # not whole (L_2(1)|0> has the coefficient 3/4): a row raises, not rounds
+    from closure_suites import fresh_algebra
+    from fockcalc import operators
+    monkeypatch.setattr(operators._Rows, "scale", 1)
+    with pytest.raises(ArithmeticError, match="not whole"):
+        verify_relations("LL", fresh_algebra("p2", Rat(2, 3)), max_weight=2,
+                         max_index=2)
