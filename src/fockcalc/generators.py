@@ -29,7 +29,6 @@ from ._rat import ratio
 from .errors import DomainError, OracleMissing
 from .fock import FockVector, extend, memo
 from .operators import (
-    Instance,
     LinearOperator,
     Report,
     _Rows,
@@ -250,9 +249,9 @@ def _nested_bracket_instance(k, gamma, alphas, rows, params):
             axpy(merged, {word + (y,): c, (y,) + word: -sign * c})
         words, parity, scale = merged, (parity + y_parity) & 1, scale * y.scale
         prod = mul(prod, a)
-    lhs = rows.check_map(rows.words(tuple(words.items())), scale)
-    return Instance(None, params, lhs, (((-1) ** k, q(k + 1, prod).fn),), 0,
-                    rows.monomials)
+    lhs = tuple((word, ratio(c, scale)) for word, c in words.items())
+    return rows.check(None, params, (lhs, None, None),
+                      (((-1) ** k, rows.q(k + 1, prod)),))
 
 
 def nested_bracket_check(k, gamma, alphas, algebra, max_weight):

@@ -12,15 +12,15 @@ only materialize for adjoint computations.  Built here:
   supercommutator    [f, g] = f g - (-1)^(parity product) g f
 
 plus exact adjoint matrices and the relation-verification suites.  Each
-suite is an entry of SUITES that lists its identity instances: label, params,
-left map, right maps with scalars, central scalar and the monomials to run
-on.  One driver (_check_instances) checks every instance on its monomials, in
-order and on one thread, and fills the Report; verify_relations and
-nested_bracket_check both go through it.  The heisenberg, Lq, LL, qprime and
-nested_bracket suites build their left sides by composing int rows of q, L_n,
-d and q_1^(k) (_Rows), kept per sweep for the sweep's own monomials; the
-heisenberg and LL sweeps compose each product once for an instance and its
-mirror.  Right sides and the expansion suite apply the operators below.
+suite is an entry of SUITES that lists its identity instances.  One driver
+(_check_instances) records each instance's nonzero residuals, in order and on
+one thread; verify_relations and nested_bracket_check both go through it.
+The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
+an identity in ints: a _RowInstance scans the sweep monomials in one pass,
+composing int rows of q, L_n, d and q_1^(k) kept per sweep (_Rows), and
+builds monomials only where a residual is nonzero; the heisenberg and LL
+sweeps compose each product once for an instance and its mirror.  The
+expansion suite applies the operators below per monomial (Instance).
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -448,7 +448,7 @@ class Report:
 
 class Instance(NamedTuple):
     """One identity lhs(v) - sum(s * rhs(v)) - central * v = 0, checked on
-    every v in `monomials`.
+    every v in `monomials`, one monomial at a time.
 
     `lhs` and the maps in `rhs` (pairs (s, map)) take {mono: c} terms and
     return a fresh dict, as LinearOperator.fn does.  Checks are counted under
@@ -463,6 +463,19 @@ class Instance(NamedTuple):
     central: object
     monomials: list
 
+    def residuals(self):
+        """(v, residual) for each v in `monomials`, in order, whose residual
+        is nonzero; a residual is a {mono: c} dict."""
+        for mono in self.monomials:
+            terms = {mono: 1}
+            diff = self.lhs(terms)
+            for scale, op in self.rhs:
+                axpy(diff, op(terms), -scale)
+            if self.central:
+                axpy(diff, {mono: -self.central})
+            if diff:
+                yield mono, diff
+
 
 def _basis_monomials_upto(algebra, max_weight):
     out = []
@@ -472,24 +485,18 @@ def _basis_monomials_upto(algebra, max_weight):
 
 
 def _check_instances(report, algebra, instances):
-    """Check every instance on each of its monomials and fill `report`.
+    """Check every instance and fill `report`.
 
-    Instances are made and checked one at a time, and discrepancies are
-    recorded in instance order, then monomial order.  A sweep that checks
-    nothing proves nothing: it raises ValueError instead of passing."""
+    Each Instance or _RowInstance hands over its nonzero residuals in
+    monomial order, so discrepancies are recorded in instance order, then
+    monomial order.  Instances are made and checked one at a time, as the
+    mirrors of _Rows.bracket need.  A sweep that checks nothing proves
+    nothing: it raises ValueError instead of passing."""
     start = time.perf_counter()
     for instance in instances:
-        lhs, rhs, central = instance.lhs, instance.rhs, instance.central
-        for mono in instance.monomials:
-            terms = {mono: 1}
-            diff = lhs(terms)
-            for scale, op in rhs:
-                axpy(diff, op(terms), -scale)
-            if central:
-                axpy(diff, {mono: -central})
-            if diff:
-                report.record(instance.params, fock.render_monomial(mono, algebra),
-                              fock.render_vector(FockVector(algebra, diff)))
+        for mono, diff in instance.residuals():
+            report.record(instance.params, fock.render_monomial(mono, algebra),
+                          fock.render_vector(FockVector(algebra, diff)))
         report.count_instance(instance.label, len(instance.monomials))
     if not report.checked:
         raise ValueError(f"{report.suite} on {report.algebra} checked nothing "
@@ -498,10 +505,9 @@ def _check_instances(report, algebra, instances):
     return report
 
 
-def _pair_instance(n, m, a, b, lhs, rhs, central, monomials):
-    return Instance(f"n={n},m={m}",
-                    {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)},
-                    lhs, rhs, central, monomials)
+def _pair(n, m, a, b):
+    """The label and params of the instance (n, m, a, b) of a pair suite."""
+    return f"n={n},m={m}", {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)}
 
 
 def _index_range(bound):
@@ -509,13 +515,13 @@ def _index_range(bound):
 
 
 class _Op:
-    """One operator's rows: image(mono) is `scale` times its image, and
+    """One operator's rows: fn({mono: 1}) is `scale` times its image, and
     `table` keeps its rows on the sweep monomials."""
 
-    __slots__ = ("table", "image", "scale")
+    __slots__ = ("table", "fn", "scale")
 
-    def __init__(self, size, image, scale):
-        self.table, self.image, self.scale = [None] * size, image, scale
+    def __init__(self, size, fn, scale):
+        self.table, self.fn, self.scale = [None] * size, fn, scale
 
 
 def _den(values):
@@ -536,16 +542,75 @@ def _sign(p, r):
     return -1 if p and r else 1
 
 
+class _RowInstance(NamedTuple):
+    """An identity sum(c * word(v)) - central * v = 0, checked on every sweep
+    monomial v of `rows` in one scan.
+
+    A word is a tuple of ops of `rows`, its last op acting first; `lhs` and
+    `rhs` hold (word, exact c) pairs.  `keep` and `take` hand the images of
+    `lhs` from the first instance of a slot pair to its mirror (_Rows.bracket).
+    """
+
+    label: object
+    params: dict
+    rows: object
+    lhs: tuple
+    keep: object
+    take: object
+    rhs: tuple
+    central: object
+    monomials: list
+
+    def residuals(self):
+        """(v, residual) for each sweep monomial v, in order, on which the
+        identity fails.
+
+        Each key is checked in ints: the words are composed from rows with
+        c times M, the least common multiple of the identity's denominators,
+        and M times the central term is subtracted at the key itself.  A
+        monomial and its residual, divided by M, are built only where a
+        coefficient is left.
+        """
+        rows, monomials, taken, s = self.rows, self.monomials, {}, 0
+        if self.take is not None:
+            kept_den, taken = rows.kept.pop(self.take[0])
+            s = ratio(self.take[1], kept_den)
+        den = _den([c for _, c in self.lhs + self.rhs] + [self.central, s])
+        s, central = _whole(s * den), _whole(self.central * den)
+        keep = None if self.keep is None else {}
+        if keep is not None:
+            rows.kept[self.keep] = den, keep
+        lhs, rhs = ([(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1],
+                      _whole(c * den)) for w, c in words] for words in (self.lhs, self.rhs))
+        compose = rows.compose
+        for key in range(len(monomials)):
+            acc = compose(lhs, key, {}) if lhs else {}
+            if keep is not None and any(acc.values()):
+                keep[key] = tuple([(t, c) for t, c in acc.items() if c])
+            if taken:
+                for t, c in taken.pop(key, ()):
+                    acc[t] = acc.get(t, 0) + s * c
+            if rhs:
+                compose(rhs, key, acc)
+            if central:
+                acc[key] = acc.get(key, 0) - central
+            if any(acc.values()):
+                yield monomials[key], {(monomials[t] if t.__class__ is int else t):
+                                       ratio(c, den) for t, c in acc.items() if c}
+
+
 class _Rows:
-    """One sweep's operators as int rows, composed into words.
+    """One sweep's operators as int rows, composed into words by the scan of
+    each _RowInstance of the sweep.
 
     The row of an op on a monomial is its scaled image as a tuple of
     (key, int) pairs, a sweep monomial keyed by its index in `monomials` and
     any other by itself.  Only the rows of sweep monomials are kept, so the
     tables are bounded by the sweep weight.  Rows of q come from the kernels,
-    rows of L_n, d and q_1^(k) from the memo images.  An op's image never
-    refers to the _Rows: a cycle through `ops` would keep every row alive
-    until a garbage collection.
+    rows of L_n, d and q_1^(k) from the memo images.  An op's fn never refers
+    to the _Rows: a cycle through `ops` would keep every row alive until a
+    garbage collection.  `kept` holds, per slot pair, the images a first
+    instance keeps until its mirror pops them (bracket).
     """
 
     def __init__(self, algebra, monomials):
@@ -563,7 +628,7 @@ class _Rows:
             scale = _den(alpha.coeffs.values()) * factor
             fn = make(index, AlgebraElement(self.algebra, {
                 c: _whole(x * scale) for c, x in alpha.coeffs.items()})).fn
-            self.ops[key] = _Op(len(self.monomials), lambda mono: fn({mono: 1}), scale)
+            self.ops[key] = _Op(len(self.monomials), fn, scale)
         return self.ops[key]
 
     @functools.cached_property
@@ -588,65 +653,13 @@ class _Rows:
             return op.table[key]
         ids = self.ids
         got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c)) for t, c
-                     in op.image(self.monomials[key] if kept else key).items()])
+                     in op.fn({self.monomials[key] if kept else key: 1}).items()])
         if kept:
             op.table[key] = got
         return got
 
-    def words(self, words, kept=None):
-        """The image of the sum of coeff * word[0] ... word[-1] over the
-        (word, coeff) pairs, composed from rows; nonzero images are also put
-        in `kept` under the monomial key."""
-        row = self.row
-        plans = [(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1], coeff)
-                 for w, coeff in words]
-
-        def image(key):
-            acc = {}
-            for outer, table, inner, middle, coeff in plans:
-                if inner is None:
-                    terms = ((key, 1),)
-                else:
-                    terms = inner.table[key] if key.__class__ is int else None
-                    if terms is None:
-                        terms = row(inner, key)
-                for op in middle:
-                    mid = {}
-                    for k, c in terms:
-                        for t, d in row(op, k):
-                            mid[t] = mid.get(t, 0) + c * d
-                    terms = [(t, c) for t, c in mid.items() if c]
-                for mid, c in terms:
-                    image = table[mid] if mid.__class__ is int else None
-                    if image is None:
-                        image = row(outer, mid)
-                    c *= coeff
-                    for t, d in image:
-                        acc[t] = acc.get(t, 0) + c * d
-            if kept is not None:
-                acc = {t: c for t, c in acc.items() if c}
-                if acc:
-                    kept[key] = tuple(acc.items())
-            return acc
-        return image
-
-    def check_map(self, image, den):
-        """The Instance map of image / den; a whole quotient stays an int."""
-        ids, monomials = self.ids, self.monomials
-
-        def fn(terms):
-            acc = {}
-            for mono, c in terms.items():
-                axpy(acc, image(ids.get(mono, mono)), c)
-            if den == 1:
-                return {(monomials[t] if t.__class__ is int else t): c
-                        for t, c in acc.items()}
-            return {(monomials[t] if t.__class__ is int else t):
-                    c // den if not c % den else ratio(c, den) for t, c in acc.items()}
-        return fn
-
     def bracket(self, f, g, sign, slots=None):
-        """The check map of [f, g] = f g - sign g f.
+        """The left side (words, keep, take) of [f, g] = f g - sign g f.
 
         Given the slots (first, second) of f and g in one family, each product
         of two slots is composed once per sweep: the first pair keeps its
@@ -656,17 +669,45 @@ class _Rows:
         as _check_instances does.
         """
         first, second = slots or (0, 1)
+        den = f.scale * g.scale
         if first == second:
-            image = self.words((((f, f), 1 - sign),))
-        elif first > second:
-            kept = self.kept.pop((second, first))
+            return (((f, f), ratio(1 - sign, den)),), None, None
+        if first > second:
+            return (), None, ((second, first), -sign)
+        return (((f, g), ratio(1, den)), ((g, f), ratio(-sign, den))), slots, None
 
-            def image(key):
-                return {t: -sign * c for t, c in kept.pop(key, ())}
-        else:
-            image = self.words((((f, g), 1), ((g, f), -sign)),
-                               self.kept.setdefault(slots, {}) if slots else None)
-        return self.check_map(image, f.scale * g.scale)
+    def check(self, label, params, left, rhs=(), central=0):
+        """The _RowInstance of left - sum(s * op) - central Id over the (s, op)
+        pairs of `rhs`; `left` is a bracket or (words, None, None)."""
+        return _RowInstance(label, params, self, *left,
+                            tuple(((op,), ratio(-s, op.scale)) for s, op in rhs if s),
+                            central, self.monomials)
+
+    def compose(self, plans, key, acc):
+        """acc plus the image of the sweep monomial `key` under the planned
+        words, each (outer, outer's table, inner, middle ops, int coeff)."""
+        row = self.row
+        for outer, table, inner, middle, coeff in plans:
+            if inner is None:
+                terms = ((key, 1),)
+            else:
+                terms = inner.table[key]
+                if terms is None:
+                    terms = row(inner, key)
+            for op in middle:
+                mid = {}
+                for k, c in terms:
+                    for t, d in row(op, k):
+                        mid[t] = mid.get(t, 0) + c * d
+                terms = [(t, c) for t, c in mid.items() if c]
+            for mid, c in terms:
+                image = table[mid] if mid.__class__ is int else None
+                if image is None:
+                    image = row(outer, mid)
+                c *= coeff
+                for t, d in image:
+                    acc[t] = acc.get(t, 0) + c * d
+        return acc
 
 
 def _slot_pairs(rows, ops, idx, classes):
@@ -684,7 +725,7 @@ def _heisenberg(algebra, bound, classes, monomials):
     ops = {(n, i): rows.q(n, a) for n in idx for i, a in enumerate(classes)}
     for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
         central = n * integral(mul(a, b)) if n + m == 0 else 0
-        yield _pair_instance(n, m, a, b, lhs, (), central, monomials)
+        yield rows.check(*_pair(n, m, a, b), lhs, (), central)
 
 
 def _lq(algebra, bound, classes, monomials):
@@ -693,8 +734,8 @@ def _lq(algebra, bound, classes, monomials):
         if m:
             lhs = rows.bracket(rows.op(virasoro, n, a, rows.scale), rows.q(m, b),
                                _sign(_grading(a, 0)[1], _grading(b, 0)[1]))
-            yield _pair_instance(n, m, a, b, lhs, ((-m, q(n + m, mul(a, b)).fn),),
-                                 0, monomials)
+            yield rows.check(*_pair(n, m, a, b), lhs,
+                             ((-m, rows.q(n + m, mul(a, b))),))
 
 
 def _ll(algebra, bound, classes, monomials):
@@ -706,8 +747,8 @@ def _ll(algebra, bound, classes, monomials):
         central = 0
         if n + m == 0:
             central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
-        rhs = ((n - m, virasoro(n + m, ab).fn),) if n != m else ()
-        yield _pair_instance(n, m, a, b, lhs, rhs, central, monomials)
+        yield rows.check(*_pair(n, m, a, b), lhs,
+                         ((n - m, rows.op(virasoro, n + m, ab, rows.scale)),), central)
 
 
 def _scaled_d(_, unit_multiple):
@@ -722,11 +763,11 @@ def _qprime(algebra, bound, classes, monomials):
     d = rows.op(_scaled_d, None, algebra.unit(), rows.scale)
     for n, a in itertools.product(_index_range(bound), classes):
         k_scale = n * (abs(n) - 1) // 2
-        rhs = ((n, virasoro(n, a).fn),)
+        rhs = ((n, rows.op(virasoro, n, a, rows.scale)),)
         if k_scale:
-            rhs += ((k_scale, q(n, mul(algebra.canonical_class, a)).fn),)
+            rhs += ((k_scale, rows.q(n, mul(algebra.canonical_class, a))),)
         lhs = rows.bracket(d, rows.q(n, a), _sign(0, _grading(a, 0)[1]))
-        yield Instance(f"n={n}", {"n": n, "alpha": repr(a)}, lhs, rhs, 0, monomials)
+        yield rows.check(f"n={n}", {"n": n, "alpha": repr(a)}, lhs, rhs)
 
 
 def _index_suite(instances, default_bound, even=False):

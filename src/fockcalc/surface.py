@@ -14,6 +14,7 @@ weight cap changes.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -462,9 +463,14 @@ def load_preset(name):
 
 
 def parse_element(algebra, text):
-    """Parse "h", "1/2*h + 3*h2", "-x1x2" into an AlgebraElement."""
+    """Parse "h", "1/2*h + 3*h2", "-x1x2" into an AlgebraElement.
+
+    Whitespace may stand only around +, - and *; inside a coefficient or a
+    basis id ("x1 x2", "1 2*x1") it raises ParseError."""
+    if re.search(r"[^\s+*-]\s+[^\s+*-]", text):
+        raise ParseError(f"whitespace inside a term of {text!r}")
     out = algebra.zero()
-    stripped = text.replace(" ", "")
+    stripped = "".join(text.split())
     if not stripped:
         raise ParseError("empty element expression")
     # split into signed terms

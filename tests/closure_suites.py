@@ -28,7 +28,7 @@ from fockcalc.operators import (
     _basis_monomials_upto,
     _check_instances,
     _index_range,
-    _pair_instance,
+    _pair,
     _q_kernel,
     _sample_colors,
     derivative,
@@ -71,6 +71,10 @@ def fresh_algebra(name, integral_scale=1):
         for entry in doc["integral"]:
             entry["coeff"] = str(ratio(int(entry["coeff"]) * integral_scale))
     return load_algebra(doc)
+
+
+def _pair_instance(n, m, a, b, lhs, rhs, central, monos):
+    return Instance(*_pair(n, m, a, b), lhs, rhs, central, monos)
 
 
 def _heisenberg(alg, bound, classes, monos):

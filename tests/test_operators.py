@@ -687,3 +687,60 @@ def test_rows_refuse_a_coefficient_that_is_not_whole(monkeypatch):
     with pytest.raises(ArithmeticError, match="not whole"):
         verify_relations("LL", fresh_algebra("p2", Rat(2, 3)), max_weight=2,
                          max_index=2)
+
+
+def test_row_discrepancies_match_the_closure_path(monkeypatch):
+    # mul doubled makes two false identities on both paths: the Heisenberg
+    # central term doubled leaves residuals at the monomial itself, and the
+    # Lq right side -m q_{n+m}(ab) doubled leaves some residuals only above
+    # the sweep weight, where the scan keys monomials by themselves
+    from closure_suites import closure_record, fresh_algebra
+    from fockcalc import fock, operators, surface
+    from fockcalc.operators import SUITES, Report
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
+    monkeypatch.setattr(operators, "mul", lambda a, b: surface.mul(a, b).scale(2))
+    alg = fresh_algebra("p2")
+    classes = alg.basis_elements() + [parse_element(alg, "3/4*h - 2*h2")]
+    seen = set()
+    for suite in ("heisenberg", "Lq"):
+        for instance in SUITES[suite](alg, 2, 1, classes)[1]:
+            for mono, diff in instance.residuals():
+                if set(diff) == {mono}:
+                    seen.add((suite, "at the key"))
+                elif all(fock.weight(t) > 2 for t in diff):
+                    seen.add((suite, "above the sweep"))
+        got = verify_relations(suite, alg, max_weight=2, max_index=1,
+                               classes=classes).to_record()
+        assert got == closure_record(suite, alg, 2, 1, classes), suite
+        assert len(got["discrepancies"]) == got["discrepancy_count"] > 25, suite
+    assert seen == {("heisenberg", "at the key"), ("Lq", "above the sweep")}
+
+
+def test_every_kept_image_is_read_once(monkeypatch, p2, torus):
+    # each first instance of a slot pair keeps its images for its mirror,
+    # which pops them; images never popped would hold memory for the sweep
+    from fockcalc import operators
+    made = []
+
+    class Kept(dict):
+        def __setitem__(self, slots, kept):
+            self.images.append(kept[1])
+            super().__setitem__(slots, kept)
+
+    class Recorded(operators._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.kept = Kept()
+            self.kept.images = []
+            made.append(self)
+
+    monkeypatch.setattr(operators, "_Rows", Recorded)
+    for suite, alg, max_weight, max_index in (
+            ("heisenberg", p2, 3, None), ("LL", p2, 3, None),
+            ("heisenberg", torus, 2, 1), ("LL", torus, 2, 1)):
+        assert verify_relations(suite, alg, max_weight=max_weight,
+                                max_index=max_index).passed
+    assert len(made) == 4
+    for rows in made:
+        assert rows.kept == {} and rows.kept.images
+        assert not any(rows.kept.images)

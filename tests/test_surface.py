@@ -232,6 +232,18 @@ def test_parse_element(p2):
         parse_element(p2, "0.5*h")
 
 
+def test_parse_element_whitespace(p2, torus):
+    # whitespace stands only between tokens, around +, - and *; inside a term
+    # it once merged the tokens: "x1 x2" parsed as x1x2 and "1 2*x1" as 12*x1
+    assert parse_element(p2, "3/4*h - 2*h2") == (
+        p2.basis_element("h").scale(Rat(3, 4)) - p2.basis_element("h2").scale(2))
+    assert parse_element(torus, " 1/2 * x1 +3*x3 ") == (
+        torus.basis_element("x1").scale(Rat(1, 2)) + torus.basis_element("x3").scale(3))
+    for text in ("x1 x2", "1 2*x1", "1/ 2*x1", "x1 x2 + x3"):
+        with pytest.raises(ParseError, match="whitespace"):
+            parse_element(torus, text)
+
+
 def test_parse_rat_grammar():
     assert parse_rat("3") == 3
     assert parse_rat(" -3/4 ") == Rat(-3, 4)
