@@ -56,10 +56,14 @@ def prepend_part(mono, size, color, algebra):
     """Insert one creation part into a canonical monomial.
 
     Returns (monomial, sign) or None when an odd part collides with itself.
+    `mono` must be canonical: its part sizes weakly decrease, so its weight
+    is at most len(mono) times its first size, and the weight is summed for
+    the cap check only when that bound leaves the cap.
     """
     if size < 1:
         raise InvalidPart(f"part size {size} < 1")
-    if weight(mono) + size > _MAX_WEIGHT:
+    if (size + (len(mono) * mono[0][0] if mono else 0) > _MAX_WEIGHT
+            and weight(mono) + size > _MAX_WEIGHT):
         raise TruncationExceeded(
             f"monomial weight would exceed the cap {_MAX_WEIGHT}")
     parities = algebra.parities

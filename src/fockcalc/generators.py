@@ -102,11 +102,19 @@ def q1_kth_bracket(k, alpha):
 
 @memo("q1k")
 def _q1k_mono(algebra, k, color, mono):
+    """q_1^(k)(e_color) applied to one monomial.  No k = 0 image is kept for
+    an intermediate: k = 1 applies q_1 to the memoized d images directly."""
+    hit = fock.prepend_part(mono, 1, color, algebra) if k < 2 else None
     if k == 0:
-        hit = fock.prepend_part(mono, 1, color, algebra)
         return {} if hit is None else {hit[0]: hit[1]}
-    # [d, q_1^(k-1)](mono) = d(q1^(k-1) mono) - q1^(k-1)(d mono)
     acc = {}
+    if k == 1:
+        # d(q_1 mono) - q_1(d mono)
+        if hit is not None:
+            axpy(acc, _boundary_mono(algebra, hit[0]), hit[1])
+        fock.create_into(acc, 1, color, _boundary_mono(algebra, mono), -1, algebra)
+        return acc
+    # [d, q_1^(k-1)](mono) = d(q1^(k-1) mono) - q1^(k-1)(d mono)
     for m, c in _q1k_mono(algebra, k - 1, color, mono).items():
         axpy(acc, _boundary_mono(algebra, m), c)
     for m, c in _boundary_mono(algebra, mono).items():

@@ -18,8 +18,9 @@ one thread; verify_relations and nested_bracket_check both go through it.
 The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
 an identity in ints: a _RowInstance scans the sweep monomials in one pass,
 composing int rows of q, L_n, d and q_1^(k) kept per sweep (_Rows), and
-builds monomials only where a residual is nonzero; the heisenberg and LL
-sweeps compose each product once for an instance and its mirror.  The
+builds monomials only where a residual is nonzero.  Rows of q come from the
+kernels, those of L_n, d and q_1^(k) from the memo images.  The heisenberg
+and LL sweeps compose each product once for an instance and its mirror.  The
 expansion suite applies the operators below per monomial (Instance).
 
 Applications of the Virasoro and boundary operators on basis monomials are
@@ -515,13 +516,15 @@ def _index_range(bound):
 
 
 class _Op:
-    """One operator's rows: fn({mono: 1}) is `scale` times its image, and
-    `table` keeps its rows on the sweep monomials."""
+    """One operator's rows, `table` keeping those on the sweep monomials.
+    `scale` times its image is fn({mono: 1}), or for q_n (fn None) the
+    kernels' image under the int coefficients `items` (_Rows.row)."""
 
-    __slots__ = ("table", "fn", "scale")
+    __slots__ = ("table", "fn", "scale", "n", "items")
 
-    def __init__(self, size, fn, scale):
+    def __init__(self, size, fn, scale, n, items):
         self.table, self.fn, self.scale = [None] * size, fn, scale
+        self.n, self.items = n, items
 
 
 def _den(values):
@@ -567,7 +570,8 @@ class _RowInstance(NamedTuple):
 
         Each key is checked in ints: the words are composed from rows with
         c times M, the least common multiple of the identity's denominators,
-        and M times the central term is subtracted at the key itself.  A
+        and M times the central term is subtracted at the key itself; a word
+        with c = 0 is never composed, so its rows are not built.  A
         monomial and its residual, divided by M, are built only where a
         coefficient is left.
         """
@@ -581,7 +585,7 @@ class _RowInstance(NamedTuple):
         if keep is not None:
             rows.kept[self.keep] = den, keep
         lhs, rhs = ([(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1],
-                      _whole(c * den)) for w, c in words] for words in (self.lhs, self.rhs))
+                      _whole(c * den)) for w, c in words if c] for words in (self.lhs, self.rhs))
         compose = rows.compose
         for key in range(len(monomials)):
             acc = compose(lhs, key, {}) if lhs else {}
@@ -606,11 +610,12 @@ class _Rows:
     The row of an op on a monomial is its scaled image as a tuple of
     (key, int) pairs, a sweep monomial keyed by its index in `monomials` and
     any other by itself.  Only the rows of sweep monomials are kept, so the
-    tables are bounded by the sweep weight.  Rows of q come from the kernels,
-    rows of L_n, d and q_1^(k) from the memo images.  An op's fn never refers
-    to the _Rows: a cycle through `ops` would keep every row alive until a
-    garbage collection.  `kept` holds, per slot pair, the images a first
-    instance keeps until its mirror pops them (bracket).
+    tables are bounded by the sweep weight, and a row above it is built again
+    at each use.  Rows of q come from the kernels, rows of L_n, d and
+    q_1^(k) from the memo images.  An op's fn never refers to the _Rows: a
+    cycle through `ops` would keep every row alive until a garbage
+    collection.  `kept` holds, per slot pair, the images a first instance
+    keeps until its mirror pops them (bracket).
     """
 
     def __init__(self, algebra, monomials):
@@ -621,14 +626,18 @@ class _Rows:
 
     def op(self, make, index, alpha, factor=1):
         """make(index, alpha) as an op whose scale is `factor` times the common
-        denominator of alpha; make is q, virasoro, q1_kth_bracket or
-        _scaled_d, and is called on alpha times that scale."""
+        denominator of alpha, applied to alpha times that scale; make is q,
+        whose rows come from the kernels, virasoro, q1_kth_bracket or
+        _scaled_d."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             scale = _den(alpha.coeffs.values()) * factor
-            fn = make(index, AlgebraElement(self.algebra, {
-                c: _whole(x * scale) for c, x in alpha.coeffs.items()})).fn
-            self.ops[key] = _Op(len(self.monomials), fn, scale)
+            scaled = {c: _whole(x * scale) for c, x in alpha.coeffs.items()}
+            if make is q:  # q_0 is zero
+                fn, items = None, tuple(scaled.items()) if index else ()
+            else:
+                fn, items = make(index, AlgebraElement(self.algebra, scaled)).fn, None
+            self.ops[key] = _Op(len(self.monomials), fn, scale, index, items)
         return self.ops[key]
 
     @functools.cached_property
@@ -647,13 +656,46 @@ class _Rows:
         return self.op(q, n, alpha, self.pairing_den if n < 0 else 1)
 
     def row(self, op, key):
-        """op's row on the keyed monomial, from its table when kept."""
+        """op's row on the keyed monomial, from its table when kept.
+
+        A row of q_n is built by the kernels, one class at a time.  The
+        creations of distinct classes are distinct monomials, so they need no
+        sum, and a creation on a monomial above the sweep weight stays above
+        it, so it is not looked up in `ids`; annihilations are summed, as
+        equal parts and several classes can meet.
+        """
         kept = key.__class__ is int
-        if kept and op.table[key] is not None:
-            return op.table[key]
-        ids = self.ids
-        got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c)) for t, c
-                     in op.fn({self.monomials[key] if kept else key: 1}).items()])
+        if kept:
+            got = op.table[key]
+            if got is not None:
+                return got
+            mono = self.monomials[key]
+        else:
+            mono = key
+        items, n, ids = op.items, op.n, self.ids
+        if items is not None and n > 0:
+            if len(items) == 1:
+                (color, c), = items
+                hit = fock.prepend_part(mono, n, color, self.algebra)
+                got = () if hit is None else (
+                    (ids.get(hit[0], hit[0]) if kept else hit[0], c if hit[1] > 0 else -c),)
+            else:
+                got = []
+                for color, c in items:
+                    hit = fock.prepend_part(mono, n, color, self.algebra)
+                    if hit is not None:
+                        got.append((ids.get(hit[0], hit[0]) if kept else hit[0],
+                                    c if hit[1] > 0 else -c))
+                got = tuple(got)
+        else:
+            if items is None:
+                image = op.fn({mono: 1})
+            else:
+                image, terms = {}, {mono: 1}
+                for color, c in items:
+                    contract_into(image, -n, color, terms, c, self.algebra)
+            got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
+                         for t, c in image.items()])
         if kept:
             op.table[key] = got
         return got
@@ -664,9 +706,9 @@ class _Rows:
         Given the slots (first, second) of f and g in one family, each product
         of two slots is composed once per sweep: the first pair keeps its
         nonzero images, and its mirror (second, first) pops them, as
-        [g, f] = -sign [f, g]; f f is composed once, times 1 - sign.  So each
-        instance must be checked on every monomial before the next is made,
-        as _check_instances does.
+        [g, f] = -sign [f, g]; f f is composed once, times 1 - sign, so
+        not at all when sign is 1.  So each instance must be checked on every
+        monomial before the next is made, as _check_instances does.
         """
         first, second = slots or (0, 1)
         den = f.scale * g.scale

@@ -280,6 +280,26 @@ def test_truncation_guard(p2):
         set_max_weight(prev)
 
 
+def test_truncation_guard_at_the_cap(p2, torus):
+    # the guard sums the weight only when len(mono) * first size passes the
+    # cap, so monomials whose bound passes it while their weight does not
+    # must still take parts up to the cap, and none above it
+    u, x1 = p2.unit_index, torus.index_of["x1"]
+    prev = set_max_weight(6)
+    try:
+        for alg, c, mono in ((p2, u, ()), (p2, u, ((3, u), (1, u), (1, u))),
+                             (p2, u, ((2, u), (2, u), (1, u))), (p2, u, ((1, u),) * 4),
+                             (torus, x1, ((3, x1), (1, 0), (1, 0))),
+                             (p2, u, ((4, u), (2, u)))):
+            room = 6 - sum(s for s, _ in mono)
+            if room:
+                assert sum(s for s, _ in prepend_part(mono, room, c, alg)[0]) == 6
+            with pytest.raises(TruncationExceeded):
+                prepend_part(mono, room + 1, c, alg)
+    finally:
+        set_max_weight(prev)
+
+
 # -- rendering ---------------------------------------------------------------------
 
 

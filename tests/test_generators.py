@@ -75,6 +75,36 @@ def test_q1_kth_bracket(p2):
     assert all((lhs(v) - rhs(v)).is_zero() for v in vecs)
 
 
+@pytest.mark.parametrize("name, colors, max_weight", (
+    ("p2", None, 3), ("torus_like", ("1", "x1", "x1x2", "x1x2x3"), 2)))
+def test_q1k_images_match_the_brackets_with_d(name, colors, max_weight):
+    # the memoized q_1^(k) images, whose k = 1 reads q_1 off the d images,
+    # against the closure path [d, q_1^(k-1)] for k = 1..3
+    from closure_suites import fresh_algebra
+    from fockcalc.generators import _q1k_mono
+    alg = fresh_algebra(name)
+    d = boundary_d(alg)
+    monos = [m for w in range(max_weight + 1) for m in monomial_basis(w, alg)]
+    for c in colors or range(alg.dim):
+        op = q(1, alg.basis_element(c))
+        color = alg.index_of[c] if colors else c
+        for k in (1, 2, 3):
+            op = supercommutator(d, op)
+            for mono in monos:
+                assert _q1k_mono(alg, k, color, mono) == op.fn({mono: 1}), (k, c, mono)
+
+
+def test_q1k_keeps_no_creation_images(p2):
+    # q_1^(2) on a weight-3 monomial keeps k = 1 and k = 2 images, and no
+    # q_1^(0) image of an intermediate
+    from closure_suites import fresh_algebra
+    alg = fresh_algebra("p2")
+    h = alg.basis_element("h")
+    v = canonicalize(alg, [(2, h), (1, alg.unit())])
+    assert not q1_kth_bracket(2, h)(v).is_zero()
+    assert {key[0] for key in alg._op_caches["q1k"]} == {1, 2}
+
+
 def test_formal_g_engine(p2):
     one, h = p2.unit(), p2.basis_element("h")
     # G_k(gamma)|0> = 0
