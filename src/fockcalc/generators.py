@@ -32,7 +32,6 @@ from .operators import (
     LinearOperator,
     Report,
     _Rows,
-    _basis_monomials_upto,
     _boundary_mono,
     _check_instances,
     _grading,
@@ -273,7 +272,7 @@ def nested_bracket_check(k, gamma, alphas, algebra, max_weight):
     remaining brackets.
     """
     alphas = list(alphas)
-    rows = _Rows(algebra, _basis_monomials_upto(algebra, max_weight))
+    rows = _Rows(algebra, max_weight)
     instance = _nested_bracket_instance(k, gamma, alphas, rows, {"k": k})
     report = Report("nested_bracket", algebra.name,
                     {"k": k, "gamma": repr(gamma),

@@ -517,14 +517,13 @@ def _index_range(bound):
 
 class _Op:
     """One operator's rows, `table` keeping those on the sweep monomials.
-    `scale` times its image is fn({mono: 1}), or for q_n (fn None) the
-    kernels' image under the int coefficients `items` (_Rows.row)."""
+    `scale` times its image is fn({mono: 1}), or for a creation q_n (fn None)
+    the parts (n, color, int coefficient) of `parts` prepended (_Rows.row)."""
 
-    __slots__ = ("table", "fn", "scale", "n", "items")
+    __slots__ = ("table", "fn", "scale", "parts")
 
-    def __init__(self, size, fn, scale, n, items):
-        self.table, self.fn, self.scale = [None] * size, fn, scale
-        self.n, self.items = n, items
+    def __init__(self, size, fn, scale, parts=None):
+        self.table, self.fn, self.scale, self.parts = [None] * size, fn, scale, parts
 
 
 def _den(values):
@@ -607,37 +606,42 @@ class _Rows:
     """One sweep's operators as int rows, composed into words by the scan of
     each _RowInstance of the sweep.
 
+    The sweep monomials are every basis monomial of weight <= max_weight.
     The row of an op on a monomial is its scaled image as a tuple of
     (key, int) pairs, a sweep monomial keyed by its index in `monomials` and
     any other by itself.  Only the rows of sweep monomials are kept, so the
     tables are bounded by the sweep weight, and a row above it is built again
-    at each use.  Rows of q come from the kernels, rows of L_n, d and
-    q_1^(k) from the memo images.  An op's fn never refers to the _Rows: a
+    at each use.  Rows of a creation q_n come from fock.prepend_part, rows of
+    an annihilation from its kernel, and rows of L_n, d and q_1^(k) from the
+    memo images.  An op's fn never refers to the _Rows: a
     cycle through `ops` would keep every row alive until a garbage
     collection.  `kept` holds, per slot pair, the images a first instance
     keeps until its mirror pops them (bracket).
     """
 
-    def __init__(self, algebra, monomials):
-        self.algebra, self.monomials = algebra, monomials
-        self.ids = {mono: k for k, mono in enumerate(monomials)}
+    def __init__(self, algebra, max_weight):
+        self.algebra = algebra
+        self.monomials = _basis_monomials_upto(algebra, max_weight)
+        self.ids = {mono: k for k, mono in enumerate(self.monomials)}
         self.pairing_den = _den(sum(algebra.pairing, []))
         self.ops, self.kept = {}, {}
 
     def op(self, make, index, alpha, factor=1):
         """make(index, alpha) as an op whose scale is `factor` times the common
         denominator of alpha, applied to alpha times that scale; make is q,
-        whose rows come from the kernels, virasoro, q1_kth_bracket or
-        _scaled_d."""
+        virasoro, q1_kth_bracket or _scaled_d.  A creation q_n keeps the
+        parts it prepends instead of an fn (row)."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             scale = _den(alpha.coeffs.values()) * factor
             scaled = {c: _whole(x * scale) for c, x in alpha.coeffs.items()}
-            if make is q:  # q_0 is zero
-                fn, items = None, tuple(scaled.items()) if index else ()
+            if make is q and index > 0:
+                op = _Op(len(self.monomials), None, scale,
+                         tuple((index, c, x) for c, x in scaled.items()))
             else:
-                fn, items = make(index, AlgebraElement(self.algebra, scaled)).fn, None
-            self.ops[key] = _Op(len(self.monomials), fn, scale, index, items)
+                op = _Op(len(self.monomials),
+                         make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+            self.ops[key] = op
         return self.ops[key]
 
     @functools.cached_property
@@ -658,11 +662,11 @@ class _Rows:
     def row(self, op, key):
         """op's row on the keyed monomial, from its table when kept.
 
-        A row of q_n is built by the kernels, one class at a time.  The
-        creations of distinct classes are distinct monomials, so they need no
-        sum, and a creation on a monomial above the sweep weight stays above
-        it, so it is not looked up in `ids`; annihilations are summed, as
-        equal parts and several classes can meet.
+        A row of a creation q_n is built by fock.prepend_part, one class at
+        a time.  The creations of distinct classes are distinct monomials, so
+        they need no sum.  As every monomial up to the sweep weight is in
+        `ids`, a creation on a monomial above that weight stays above it and
+        is not looked up.  Any other op's row is its fn's image.
         """
         kept = key.__class__ is int
         if kept:
@@ -672,30 +676,18 @@ class _Rows:
             mono = self.monomials[key]
         else:
             mono = key
-        items, n, ids = op.items, op.n, self.ids
-        if items is not None and n > 0:
-            if len(items) == 1:
-                (color, c), = items
-                hit = fock.prepend_part(mono, n, color, self.algebra)
-                got = () if hit is None else (
-                    (ids.get(hit[0], hit[0]) if kept else hit[0], c if hit[1] > 0 else -c),)
-            else:
-                got = []
-                for color, c in items:
-                    hit = fock.prepend_part(mono, n, color, self.algebra)
-                    if hit is not None:
-                        got.append((ids.get(hit[0], hit[0]) if kept else hit[0],
-                                    c if hit[1] > 0 else -c))
-                got = tuple(got)
-        else:
-            if items is None:
-                image = op.fn({mono: 1})
-            else:
-                image, terms = {}, {mono: 1}
-                for color, c in items:
-                    contract_into(image, -n, color, terms, c, self.algebra)
+        ids, parts = self.ids, op.parts
+        if parts is None:
             got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
-                         for t, c in image.items()])
+                         for t, c in op.fn({mono: 1}).items()])
+        else:
+            got = []
+            for size, color, c in parts:
+                hit = fock.prepend_part(mono, size, color, self.algebra)
+                if hit is not None:
+                    got.append((ids.get(hit[0], hit[0]) if kept else hit[0],
+                                c if hit[1] > 0 else -c))
+            got = tuple(got)
         if kept:
             op.table[key] = got
         return got
@@ -762,16 +754,16 @@ def _slot_pairs(rows, ops, idx, classes):
             ops[n, i], ops[m, j], _sign(parities[i], parities[j]), ((n, i), (m, j)))
 
 
-def _heisenberg(algebra, bound, classes, monomials):
-    rows, idx = _Rows(algebra, monomials), _index_range(bound)
+def _heisenberg(algebra, bound, classes, max_weight):
+    rows, idx = _Rows(algebra, max_weight), _index_range(bound)
     ops = {(n, i): rows.q(n, a) for n in idx for i, a in enumerate(classes)}
     for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
         central = n * integral(mul(a, b)) if n + m == 0 else 0
         yield rows.check(*_pair(n, m, a, b), lhs, (), central)
 
 
-def _lq(algebra, bound, classes, monomials):
-    rows, idx = _Rows(algebra, monomials), range(-bound, bound + 1)
+def _lq(algebra, bound, classes, max_weight):
+    rows, idx = _Rows(algebra, max_weight), range(-bound, bound + 1)
     for n, m, a, b in itertools.product(idx, idx, classes, classes):
         if m:
             lhs = rows.bracket(rows.op(virasoro, n, a, rows.scale), rows.q(m, b),
@@ -780,8 +772,8 @@ def _lq(algebra, bound, classes, monomials):
                              ((-m, rows.q(n + m, mul(a, b))),))
 
 
-def _ll(algebra, bound, classes, monomials):
-    rows, idx = _Rows(algebra, monomials), range(-bound, bound + 1)
+def _ll(algebra, bound, classes, max_weight):
+    rows, idx = _Rows(algebra, max_weight), range(-bound, bound + 1)
     ops = {(n, i): rows.op(virasoro, n, a, rows.scale)
            for n in idx for i, a in enumerate(classes)}
     for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
@@ -800,8 +792,8 @@ def _scaled_d(_, unit_multiple):
         unit_multiple.algebra.unit_index]
 
 
-def _qprime(algebra, bound, classes, monomials):
-    rows = _Rows(algebra, monomials)
+def _qprime(algebra, bound, classes, max_weight):
+    rows = _Rows(algebra, max_weight)
     d = rows.op(_scaled_d, None, algebra.unit(), rows.scale)
     for n, a in itertools.product(_index_range(bound), classes):
         k_scale = n * (abs(n) - 1) // 2
@@ -822,9 +814,8 @@ def _index_suite(instances, default_bound, even=False):
             classes = (algebra.even_basis_elements() if even
                        else algebra.basis_elements())
         classes = list(classes)
-        monomials = _basis_monomials_upto(algebra, max_weight)
         return ({"max_index": bound, "classes": len(classes)},
-                instances(algebra, bound, classes, monomials))
+                instances(algebra, bound, classes, max_weight))
 
     return entry
 
@@ -866,7 +857,7 @@ def _nested_bracket(algebra, max_weight):
     unit = algebra.unit()
     sample = [algebra.basis_element(c) for c in _sample_colors(
         algebra, (0, 1, 2, algebra.dim // 2, algebra.dim - 1))]
-    rows = _Rows(algebra, _basis_monomials_upto(algebra, max_weight))
+    rows = _Rows(algebra, max_weight)
     instances = []
     for k in range(4):
         tuples = [(gamma, [unit] * (k + 1)) for gamma in [unit] + sample]
