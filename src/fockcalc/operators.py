@@ -613,10 +613,10 @@ class _Rows:
     tables are bounded by the sweep weight, and a row above it is built again
     at each use.  Rows of a creation q_n come from fock.prepend_part, rows of
     an annihilation from its kernel, and rows of L_n, d and q_1^(k) from the
-    memo images.  An op's fn never refers to the _Rows: a
-    cycle through `ops` would keep every row alive until a garbage
-    collection.  `kept` holds, per slot pair, the images a first instance
-    keeps until its mirror pops them (bracket).
+    memo images.  An op's fn never refers to the _Rows: a cycle through `ops`
+    would keep every row alive until a garbage collection.  `kept` holds,
+    per slot pair, the images a first instance keeps until its mirror pops
+    them (bracket).
     """
 
     def __init__(self, algebra, max_weight):
