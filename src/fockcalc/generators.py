@@ -247,16 +247,16 @@ def _nested_bracket_instance(k, gamma, alphas, rows, params):
         raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
     prod = mul(gamma, alphas[0])
     x = rows.op(q1_kth_bracket, k, prod, rows.scale ** k)
-    words, parity, scale = {(x,): 1}, _grading(prod, 0)[1], x.scale * math.factorial(k)
+    words, parity = {(x,): 1}, _grading(prod, 0)[1]
     for a in alphas[1:]:
         y, y_parity = rows.q(1, a), _grading(a, 0)[1]
         sign = _sign(parity, y_parity)
         merged = {}
         for word, c in words.items():
             axpy(merged, {word + (y,): c, (y,) + word: -sign * c})
-        words, parity, scale = merged, (parity + y_parity) & 1, scale * y.scale
+        words, parity = merged, (parity + y_parity) & 1
         prod = mul(prod, a)
-    lhs = tuple((word, ratio(c, scale)) for word, c in words.items())
+    lhs = tuple((word, ratio(c, math.factorial(k))) for word, c in words.items())
     return rows.check(None, params, (lhs, None, None),
                       (((-1) ** k, rows.q(k + 1, prod)),))
 

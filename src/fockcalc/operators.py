@@ -17,11 +17,13 @@ suite is an entry of SUITES that lists its identity instances.  One driver
 one thread; verify_relations and nested_bracket_check both go through it.
 The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
 an identity in ints: a _RowInstance scans the sweep monomials in one pass,
-composing int rows of q, L_n, d and q_1^(k) kept per sweep (_Rows), and
-builds monomials only where a residual is nonzero.  Rows of q come from the
-kernels, those of L_n, d and q_1^(k) from the memo images.  The heisenberg
-and LL sweeps compose each product once for an instance and its mirror.  The
-expansion suite applies the operators below per monomial (Instance).
+composing int rows of q, L_n, d and q_1^(k) (_Rows), and builds monomials
+only where a residual is nonzero.  An op's rows on every sweep monomial are
+tabled when the op is made; a row above the sweep weight is built at each
+use.  Rows of q come from the kernels, those of L_n, d and q_1^(k) from the
+memo images.  The heisenberg and LL sweeps compose each product once for an
+instance and its mirror.  The expansion suite applies the operators below per
+monomial (Instance).
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -516,14 +518,14 @@ def _index_range(bound):
 
 
 class _Op:
-    """One operator's rows, `table` keeping those on the sweep monomials.
+    """One operator's rows, `table` holding those on every sweep monomial.
     `scale` times its image is fn({mono: 1}), or for a creation q_n (fn None)
     the parts (n, color, int coefficient) of `parts` prepended (_Rows.row)."""
 
     __slots__ = ("table", "fn", "scale", "parts")
 
-    def __init__(self, size, fn, scale, parts=None):
-        self.table, self.fn, self.scale, self.parts = [None] * size, fn, scale, parts
+    def __init__(self, fn, scale, parts=None):
+        self.fn, self.scale, self.parts = fn, scale, parts
 
 
 def _den(values):
@@ -549,8 +551,9 @@ class _RowInstance(NamedTuple):
     monomial v of `rows` in one scan.
 
     A word is a tuple of ops of `rows`, its last op acting first; `lhs` and
-    `rhs` hold (word, exact c) pairs.  `keep` and `take` hand the images of
-    `lhs` from the first instance of a slot pair to its mirror (_Rows.bracket).
+    `rhs` hold (word, c) pairs, c the identity's exact coefficient of the
+    word.  `keep` and `take` hand the images of `lhs` from the first instance
+    of a slot pair to its mirror (_Rows.bracket).
     """
 
     label: object
@@ -567,10 +570,11 @@ class _RowInstance(NamedTuple):
         """(v, residual) for each sweep monomial v, in order, on which the
         identity fails.
 
-        Each key is checked in ints: the words are composed from rows with
-        c times M, the least common multiple of the identity's denominators,
-        and M times the central term is subtracted at the key itself; a word
-        with c = 0 is never composed, so its rows are not built.  A
+        Each key is checked in ints.  A word's rows are its ops' images times
+        their scales, so c is first divided by the product of those scales;
+        the words are then composed with that times M, the least common
+        multiple of the identity's denominators, and M times the central term
+        is subtracted at the key itself.  A word with c = 0 is dropped.  A
         monomial and its residual, divided by M, are built only where a
         coefficient is left.
         """
@@ -578,13 +582,15 @@ class _RowInstance(NamedTuple):
         if self.take is not None:
             kept_den, taken = rows.kept.pop(self.take[0])
             s = ratio(self.take[1], kept_den)
-        den = _den([c for _, c in self.lhs + self.rhs] + [self.central, s])
+        lhs, rhs = ([(w, ratio(c, math.prod([op.scale for op in w])))
+                     for w, c in words if c] for words in (self.lhs, self.rhs))
+        den = _den([c for _, c in lhs + rhs] + [self.central, s])
         s, central = _whole(s * den), _whole(self.central * den)
         keep = None if self.keep is None else {}
         if keep is not None:
             rows.kept[self.keep] = den, keep
         lhs, rhs = ([(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1],
-                      _whole(c * den)) for w, c in words if c] for words in (self.lhs, self.rhs))
+                      _whole(c * den)) for w, c in words] for words in (lhs, rhs))
         compose = rows.compose
         for key in range(len(monomials)):
             acc = compose(lhs, key, {}) if lhs else {}
@@ -606,17 +612,19 @@ class _Rows:
     """One sweep's operators as int rows, composed into words by the scan of
     each _RowInstance of the sweep.
 
-    The sweep monomials are every basis monomial of weight <= max_weight.
-    The row of an op on a monomial is its scaled image as a tuple of
-    (key, int) pairs, a sweep monomial keyed by its index in `monomials` and
-    any other by itself.  Only the rows of sweep monomials are kept, so the
-    tables are bounded by the sweep weight, and a row above it is built again
-    at each use.  Rows of a creation q_n come from fock.prepend_part, rows of
-    an annihilation from its kernel, and rows of L_n, d and q_1^(k) from the
-    memo images.  An op's fn never refers to the _Rows: a cycle through `ops`
-    would keep every row alive until a garbage collection.  `kept` holds,
-    per slot pair, the images a first instance keeps until its mirror pops
-    them (bracket).
+    `monomials` is every basis monomial of weight <= max_weight, and _Rows
+    builds it itself: so a creation on a monomial above that weight stays
+    above it.  The row of an op on a monomial is its scaled image as a tuple
+    of (key, int) pairs, a sweep monomial keyed by its index in `monomials`
+    and any other by itself.  An op's table holds its rows on every sweep
+    monomial from the moment it is made; a row above the sweep weight is
+    built again at each use (row), so the tables are bounded by the sweep
+    weight.  Rows of a creation q_n come from fock.prepend_part, rows of an
+    annihilation from its kernel, and rows of L_n, d and q_1^(k) from the
+    memo images.  An op's fn never refers to the _Rows: a cycle through
+    `ops` would keep every row alive until a garbage collection.  `kept`
+    holds, per slot pair, the images a first instance keeps until its mirror
+    pops them (bracket).
     """
 
     def __init__(self, algebra, max_weight):
@@ -628,19 +636,21 @@ class _Rows:
 
     def op(self, make, index, alpha, factor=1):
         """make(index, alpha) as an op whose scale is `factor` times the common
-        denominator of alpha, applied to alpha times that scale; make is q,
-        virasoro, q1_kth_bracket or _scaled_d.  A creation q_n keeps the
-        parts it prepends instead of an fn (row)."""
+        denominator of alpha, applied to alpha times that scale, with its
+        table filled; make is q, virasoro, q1_kth_bracket or _scaled_d.  A
+        creation q_n keeps the parts it prepends instead of an fn (row)."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
+            _check_algebras(self, alpha)
             scale = _den(alpha.coeffs.values()) * factor
             scaled = {c: _whole(x * scale) for c, x in alpha.coeffs.items()}
             if make is q and index > 0:
-                op = _Op(len(self.monomials), None, scale,
-                         tuple((index, c, x) for c, x in scaled.items()))
+                op = _Op(None, scale, tuple((index, c, x) for c, x in scaled.items()))
             else:
-                op = _Op(len(self.monomials),
-                         make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+                op = _Op(make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+            ids = self.ids
+            op.table = [tuple([(ids.get(t, t), c) for t, c in self.row(op, mono)])
+                        for mono in self.monomials]
             self.ops[key] = op
         return self.ops[key]
 
@@ -659,38 +669,24 @@ class _Rows:
         """q_n(alpha); annihilations are scaled by the pairing's denominator."""
         return self.op(q, n, alpha, self.pairing_den if n < 0 else 1)
 
-    def row(self, op, key):
-        """op's row on the keyed monomial, from its table when kept.
+    def row(self, op, mono):
+        """op's row on a monomial above the sweep weight.
 
         A row of a creation q_n is built by fock.prepend_part, one class at
         a time.  The creations of distinct classes are distinct monomials, so
-        they need no sum.  As every monomial up to the sweep weight is in
-        `ids`, a creation on a monomial above that weight stays above it and
-        is not looked up.  Any other op's row is its fn's image.
+        they need no sum, and they stay above the sweep weight, so they are
+        not looked up in `ids`.  Any other op's row is its fn's image.
         """
-        kept = key.__class__ is int
-        if kept:
-            got = op.table[key]
-            if got is not None:
-                return got
-            mono = self.monomials[key]
-        else:
-            mono = key
-        ids, parts = self.ids, op.parts
-        if parts is None:
-            got = tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
-                         for t, c in op.fn({mono: 1}).items()])
-        else:
-            got = []
-            for size, color, c in parts:
-                hit = fock.prepend_part(mono, size, color, self.algebra)
-                if hit is not None:
-                    got.append((ids.get(hit[0], hit[0]) if kept else hit[0],
-                                c if hit[1] > 0 else -c))
-            got = tuple(got)
-        if kept:
-            op.table[key] = got
-        return got
+        if op.parts is None:
+            ids = self.ids
+            return tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
+                          for t, c in op.fn({mono: 1}).items()])
+        got = []
+        for size, color, c in op.parts:
+            hit = fock.prepend_part(mono, size, color, self.algebra)
+            if hit is not None:
+                got.append((hit[0], c if hit[1] > 0 else -c))
+        return tuple(got)
 
     def bracket(self, f, g, sign, slots=None):
         """The left side (words, keep, take) of [f, g] = f g - sign g f.
@@ -703,18 +699,17 @@ class _Rows:
         monomial before the next is made, as _check_instances does.
         """
         first, second = slots or (0, 1)
-        den = f.scale * g.scale
         if first == second:
-            return (((f, f), ratio(1 - sign, den)),), None, None
+            return (((f, f), 1 - sign),), None, None
         if first > second:
             return (), None, ((second, first), -sign)
-        return (((f, g), ratio(1, den)), ((g, f), ratio(-sign, den))), slots, None
+        return (((f, g), 1), ((g, f), -sign)), slots, None
 
     def check(self, label, params, left, rhs=(), central=0):
         """The _RowInstance of left - sum(s * op) - central Id over the (s, op)
         pairs of `rhs`; `left` is a bracket or (words, None, None)."""
         return _RowInstance(label, params, self, *left,
-                            tuple(((op,), ratio(-s, op.scale)) for s, op in rhs if s),
+                            tuple(((op,), -s) for s, op in rhs),
                             central, self.monomials)
 
     def compose(self, plans, key, acc):
@@ -722,24 +717,16 @@ class _Rows:
         words, each (outer, outer's table, inner, middle ops, int coeff)."""
         row = self.row
         for outer, table, inner, middle, coeff in plans:
-            if inner is None:
-                terms = ((key, 1),)
-            else:
-                terms = inner.table[key]
-                if terms is None:
-                    terms = row(inner, key)
+            terms = ((key, 1),) if inner is None else inner.table[key]
             for op in middle:
                 mid = {}
                 for k, c in terms:
-                    for t, d in row(op, k):
+                    for t, d in op.table[k] if k.__class__ is int else row(op, k):
                         mid[t] = mid.get(t, 0) + c * d
                 terms = [(t, c) for t, c in mid.items() if c]
             for mid, c in terms:
-                image = table[mid] if mid.__class__ is int else None
-                if image is None:
-                    image = row(outer, mid)
                 c *= coeff
-                for t, d in image:
+                for t, d in table[mid] if mid.__class__ is int else row(outer, mid):
                     acc[t] = acc.get(t, 0) + c * d
         return acc
 
@@ -781,8 +768,8 @@ def _ll(algebra, bound, classes, max_weight):
         central = 0
         if n + m == 0:
             central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
-        yield rows.check(*_pair(n, m, a, b), lhs,
-                         ((n - m, rows.op(virasoro, n + m, ab, rows.scale)),), central)
+        rhs = ((n - m, rows.op(virasoro, n + m, ab, rows.scale)),) if n != m else ()
+        yield rows.check(*_pair(n, m, a, b), lhs, rhs, central)
 
 
 def _scaled_d(_, unit_multiple):

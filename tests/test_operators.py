@@ -371,6 +371,18 @@ def test_index_free_suites_reject_index_options(torus, suite):
                          classes=[torus.basis_element("x1")])
 
 
+def test_suites_reject_classes_of_another_algebra(p2, p1xp1, torus):
+    # a class read by basis index on the sweep's algebra would pass or fail
+    # for nothing (torus_like on p2), or index past its basis (p1xp1)
+    x1 = torus.basis_element("x1")
+    for cls in (x1, p1xp1.basis_element("fg")):
+        for suite in ("heisenberg", "Lq", "LL", "qprime"):
+            with pytest.raises(ValueError, match="different algebras"):
+                verify_relations(suite, p2, max_weight=2, max_index=1, classes=[cls])
+    with pytest.raises(ValueError, match="different algebras"):
+        nested_bracket_check(1, x1, [torus.unit()] * 2, p2, 2)
+
+
 def test_sweeps_that_check_nothing_raise(p2):
     with pytest.raises(ValueError, match="checked nothing"):
         verify_relations("heisenberg", p2, max_weight=2, classes=[])
@@ -520,11 +532,50 @@ def _shift_canonical(monkeypatch, algebras):
         monkeypatch.setattr(alg, "canonical_class", alg.canonical_class + shift)
 
 
+def _paired_entries(algebras):
+    # an entry (u, v) of the pairing equal to 1 and its mirror (v, u): h, h on
+    # p2 and x1x2, x3x4 on torus_like
+    for alg, ids in zip(algebras, (("h", "h"), ("x1x2", "x3x4"))):
+        u, v = (alg.index_of[i] for i in ids)
+        yield alg, {(u, v), (v, u)}
+
+
+def _double_kunneth(monkeypatch, algebras):
+    # the coefficients of those entries in the unit's diagonal doubled, set in
+    # the cache before anything reads it; doubling both orders keeps the
+    # diagonal supersymmetric, as L assumes
+    for alg, entries in _paired_entries(algebras):
+        one = alg.unit_index
+        monkeypatch.setitem(alg._diagonal_cache, one, tuple(
+            (u, v, 2 * t if (u, v) in entries else t)
+            for u, v, t in alg.kunneth_triples(one)))
+
+
+def _double_pairing(monkeypatch, algebras):
+    # those entries of the pairing doubled, before the diagonal is solved from
+    # it; the integral, and so the Heisenberg central term, keeps them
+    for alg, entries in _paired_entries(algebras):
+        pairing = [row[:] for row in alg.pairing]
+        for u, v in entries:
+            pairing[u][v] *= 2
+        monkeypatch.setattr(alg, "pairing", pairing)
+
+
+def _shift_euler(monkeypatch, algebras):
+    # the Euler class plus the point class: chi 3 -> 4 on p2, 0 -> 1 on
+    # torus_like
+    for alg in algebras:
+        point = alg.basis_element("h2" if alg.name == "p2" else "x1x2x3x4")
+        monkeypatch.setattr(alg, "euler", alg.euler + point)
+
+
 # mutant -> (patch, {suite: the algebras on which it must be seen}), the same
 # suites as the closure path shows.  p2 cannot see the Koszul sign; the
 # central-order mutant is seen by the Heisenberg sweep only if the mirror
 # instance (m, n, b, a) computes its own central term m int(b a); no suite
-# here pins K on p2, and qprime reads K on both sides
+# here pins K on p2, and qprime reads K on both sides.  Only the LL central
+# term reads the Euler class, and its factor n^3 - n vanishes at |n| <= 1, the
+# index range of the calculus sweeps here, so no suite here sees `euler`
 HEISENBERG_MUTANTS = {
     "clean": (None, {}),
     "annihilation sign": (_flip_annihilation, {
@@ -538,6 +589,13 @@ HEISENBERG_MUTANTS = {
         "LL": ("p2", "torus_like")}),
     "L diagonal weight": (_double_l_diagonal, {"qprime": ("p2",)}),
     "canonical class": (_shift_canonical, {"nested_bracket": ("torus_like",)}),
+    "Kunneth coefficient": (_double_kunneth, {
+        "Lq": ("p2", "torus_like"), "LL": ("p2", "torus_like"),
+        "qprime": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
+    "pairing entry": (_double_pairing, {
+        "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
+        "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
+    "euler": (_shift_euler, {}),
 }
 CALCULUS_SUITES = ("Lq", "LL", "qprime", "nested_bracket")
 
@@ -748,30 +806,66 @@ def test_every_kept_image_is_read_once(monkeypatch, p2, torus):
         assert not any(rows.kept.images)
 
 
+def test_every_op_is_read_by_a_word(monkeypatch, p2):
+    # an op's table is filled on every sweep monomial when the op is made, so
+    # an op that no word with a nonzero coefficient reads is filled for nothing
+    from fockcalc import operators
+    made, read = [], set()
+
+    class Recorded(operators._Rows):
+        def op(self, *args):
+            known = len(self.ops)
+            got = super().op(*args)
+            if len(self.ops) > known:
+                made.append(got)
+            return got
+
+        def check(self, *args):
+            instance = super().check(*args)
+            read.update(op for word, c in instance.lhs + instance.rhs if c
+                        for op in word)
+            return instance
+
+    monkeypatch.setattr(operators, "_Rows", Recorded)
+    for suite in operators.SUITES:
+        assert verify_relations(suite, p2, max_weight=2).passed, suite
+        assert all(op in read for op in made), suite
+    assert made
+
+
 @pytest.mark.parametrize("name, scale, texts", (
     ("p2", 1, ("1", "h", "h2", "3/4*h - 2*h2")),
     ("torus_like", 1, ("1", "x1", "x1x2", "x2x3x4", "1/2*x1 + 3*x3", "x1 - 2*x2")),
     ("p2", Rat(2, 3), ("1", "h2", "3/4*h - 2*h2"))))
 def test_q_rows_match_the_operator_images(name, scale, texts):
-    # rows of q_n built by the kernels against q_n(alpha times the op's
-    # scale), keyed through ids, on the sweep monomials (weight <= 1) and
-    # above them, where annihilations meet repeated equal parts; odd classes
-    # of torus_like bring Koszul signs, and p2 at int(h2) = 2/3 a pairing
-    # with a denominator
+    # rows of q_n, L_n, q_1^(k) and d against the operator on alpha times the
+    # op's scale, keyed through ids: the table on every sweep monomial
+    # (weight <= 1), and row on monomials of weight 2 and 3 above it, where
+    # annihilations meet repeated equal parts and may land back in the sweep;
+    # odd classes of torus_like bring Koszul signs, and p2 at int(h2) = 2/3 a
+    # pairing with a denominator
     from closure_suites import fresh_algebra
-    from fockcalc.operators import _Rows
+    from fockcalc.generators import q1_kth_bracket
+    from fockcalc.operators import _Rows, _scaled_d
     alg = fresh_algebra(name, scale)
     rows = _Rows(alg, 1)
-    keys = list(range(len(rows.monomials))) + [
-        m for w in (2, 3) for m in monomial_basis(w, alg)]
-    for text, n in itertools.product(texts, (-2, -1, 1, 2)):
+    above = [m for w in (2, 3) for m in monomial_basis(w, alg)]
+    d = rows.op(_scaled_d, None, alg.unit(), rows.scale)
+    cases = [(d, boundary_d(alg) * d.scale)]
+    for text in texts:
         alpha = parse_element(alg, text)
-        op = rows.q(n, alpha)
-        image = q(n, alpha.scale(op.scale)).fn
-        for key in keys:
-            got = rows.row(op, key)
-            want = image({rows.monomials[key] if key.__class__ is int else key: 1})
+        ops = [(q, n, rows.q(n, alpha)) for n in (-2, -1, 1, 2)]
+        ops += [(virasoro, n, rows.op(virasoro, n, alpha, rows.scale)) for n in (-1, 0, 2)]
+        ops += [(q1_kth_bracket, k, rows.op(q1_kth_bracket, k, alpha, rows.scale ** k))
+                for k in (1, 2)]
+        cases += [(op, make(i, alpha.scale(op.scale))) for make, i, op in ops]
+    for op, operator in cases:
+        image = operator.fn
+        assert len(op.table) == len(rows.monomials)
+        for mono, got in itertools.chain(zip(rows.monomials, op.table),
+                                         ((m, rows.row(op, m)) for m in above)):
+            want = image({mono: 1})
             assert dict(got) == {rows.ids.get(t, t): c for t, c in want.items()}, (
-                text, n, key)
+                operator, mono)
             assert len(dict(got)) == len(got)
             assert all(c.__class__ is int for _, c in got)
