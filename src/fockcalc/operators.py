@@ -648,6 +648,7 @@ class _Rows:
                 op = _Op(None, scale, tuple((index, c, x) for c, x in scaled.items()))
             else:
                 op = _Op(make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+            # row keys a creation by its monomial, which here may be a sweep one
             ids = self.ids
             op.table = [tuple([(ids.get(t, t), c) for t, c in self.row(op, mono)])
                         for mono in self.monomials]
