@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from ._linalg import axpy, solve
-from ._rat import exact, parse_rat, signed_sum
+from ._rat import exact, parse_rat, ratio, signed_sum
 from .errors import (
     AxiomViolation,
     DegreeError,
@@ -120,7 +120,8 @@ class SurfaceAlgebra:
         self.canonical_class = AlgebraElement(self, canonical_coeffs)
         # pairing[i][j] = integral(e_i e_j)
         self.pairing = [
-            [self._integrate_product(i, j) for j in range(self.dim)]
+            [sum(c * integral_vec[k] for k, c in self.mul_basis(i, j).items())
+             for j in range(self.dim)]
             for i in range(self.dim)
         ]
         # duals[j] satisfies integral(e_i * duals[j]) = delta_ij
@@ -172,10 +173,6 @@ class SurfaceAlgebra:
         """Sparse structure-constant row for e_i * e_j."""
         return self.product[i].get(j, {})
 
-    def _integrate_product(self, i, j):
-        return sum(c * self.integral_vec[k]
-                   for k, c in self.mul_basis(i, j).items())
-
     # -- derived structure -------------------------------------------------
 
     def dual_basis(self):
@@ -193,45 +190,22 @@ class SurfaceAlgebra:
         return AlgebraElement(self, acc)
 
     def kunneth_triples(self, i):
-        """Diagonal pushforward of basis class i as ((u, v, coeff), ...).
+        """Diagonal pushforward of basis class i as ((u, v, coeff), ...), sorted
+        by (u, v): tau(a) = sum_v (a e^v) (x) e_v over the dual basis e^v.
 
-        The coefficients t_uv of tau(e_i) = sum t_uv e_u (x) e_v are pinned by
-        the adjunction identity
-            int((tau a) * (b (x) c)) = int(a b c)   for all basis b, c,
-        with the Koszul product (u(x)v)(w(x)z) = (-1)^{deg v deg w} uw (x) vz
-        on the square.  The system is solved per degree block.
+        It satisfies int((tau a)(b (x) c)) = int(a b c) for the Koszul product
+        (x (x) y)(b (x) c) = (-1)^{deg y deg b} xb (x) yc: e^v has the parity
+        of e_v, and sum_v e^v int(e_v c) = c.
         """
-        if i in self._diagonal_cache:
-            return self._diagonal_cache[i]
-        s = self.degrees[i]
-        top = self.top_degree
-        unknowns = [(u, v) for u in range(self.dim) for v in range(self.dim)
-                    if self.degrees[u] + self.degrees[v] == s + top]
-        equations = [(b, c) for b in range(self.dim) for c in range(self.dim)
-                     if self.degrees[b] + self.degrees[c] == top - s]
-        if len(unknowns) != len(equations):
-            raise SingularPairing(
-                f"{self.name}: Kunneth block for degree {s} is not square")
-        matrix = []
-        rhs = []
-        for (b, c) in equations:
-            db = self.degrees[b]
-            row = []
-            for (u, v) in unknowns:
-                sign = -1 if (self.degrees[v] & 1) and (db & 1) else 1
-                row.append(sign * self.pairing[u][b] * self.pairing[v][c])
-            matrix.append(row)
-            # int(e_i e_b e_c)
-            val = 0
-            for k, ck in self.mul_basis(i, b).items():
-                val += ck * self._integrate_product(k, c)
-            rhs.append(val)
-        sol = solve(matrix, [rhs])
-        if sol is None:
-            raise SingularPairing(f"{self.name}: Kunneth system is singular")
-        triples = tuple((u, v, t) for (u, v), t in zip(unknowns, sol[0]) if t)
-        self._diagonal_cache[i] = triples
-        return triples
+        if i not in self._diagonal_cache:
+            triples = []
+            for v, dual in enumerate(self._dual_coeffs):
+                acc = {}
+                for j, c in enumerate(dual):
+                    axpy(acc, self.mul_basis(i, j), c)
+                triples += ((u, v, ratio(t)) for u, t in acc.items())
+            self._diagonal_cache[i] = tuple(sorted(triples))
+        return self._diagonal_cache[i]
 
     def contracted_kunneth(self, i):
         """The diagonal of class i contracted on its right factor: row c lists

@@ -486,6 +486,22 @@ def _flip_annihilation(monkeypatch, algebras):
         tuple((u, -w) for u, w in row) for row in contracted(alg, i)])
 
 
+def _drop_odd_passage(monkeypatch, algebras):
+    # contract_into without the sign an odd annihilation picks up for each odd
+    # part it passes: the kernel run as if every class were even
+    from types import SimpleNamespace
+
+    from fockcalc import fock, operators
+    contract = fock.contract_into
+
+    def unsigned(acc, size, color, terms, coeff, algebra):
+        even = SimpleNamespace(parities=[0] * algebra.dim, pairing=algebra.pairing)
+        contract(acc, size, color, terms, coeff, even)
+
+    monkeypatch.setattr(fock, "contract_into", unsigned)
+    monkeypatch.setattr(operators, "contract_into", unsigned)
+
+
 def _drop_koszul(monkeypatch, algebras):
     from fockcalc import fock
     prepend = fock.prepend_part
@@ -525,6 +541,32 @@ def _double_l_diagonal(monkeypatch, algebras):
     monkeypatch.setattr(operators, "_virasoro_mono", doubled)
 
 
+def _shift_boundary_k(monkeypatch, algebras):
+    # the K term of d on a leading part q_i(e_c) weighted i(i+1)/2 in place of
+    # i(i-1)/2: the clean step, whose recursion on the rest reads the mutant,
+    # plus i q_i(K e_c) on the rest
+    from fockcalc import generators, operators
+    clean = operators._boundary_mono.__wrapped__
+    images = {}
+
+    def shifted(algebra, mono):
+        key = (algebra.name, mono)
+        if key not in images:
+            acc = dict(clean(algebra, mono))
+            if mono:
+                (size, color), rest = mono[0], mono[1:]
+                k_alpha = operators.mul(algebra.canonical_class,
+                                        algebra.basis_element(color))
+                for kc, kcoeff in k_alpha.coeffs.items():
+                    operators.create_into(acc, size, kc, {rest: 1}, size * kcoeff,
+                                          algebra)
+            images[key] = acc
+        return images[key]
+
+    monkeypatch.setattr(operators, "_boundary_mono", shifted)
+    monkeypatch.setattr(generators, "_boundary_mono", shifted)
+
+
 def _shift_canonical(monkeypatch, algebras):
     # K + h on p2, K + x1 on torus_like
     for alg in algebras:
@@ -552,8 +594,10 @@ def _double_kunneth(monkeypatch, algebras):
 
 
 def _double_pairing(monkeypatch, algebras):
-    # those entries of the pairing doubled, before the diagonal is solved from
-    # it; the integral, and so the Heisenberg central term, keeps them
+    # those entries of the pairing doubled after load: annihilations and the
+    # contracted diagonal read the doubled entries, while the integral (and
+    # so the Heisenberg central term), the dual basis and the diagonal built
+    # from it keep the loaded ones
     for alg, entries in _paired_entries(algebras):
         pairing = [row[:] for row in alg.pairing]
         for u, v in entries:
@@ -569,33 +613,53 @@ def _shift_euler(monkeypatch, algebras):
         monkeypatch.setattr(alg, "euler", alg.euler + point)
 
 
-# mutant -> (patch, {suite: the algebras on which it must be seen}), the same
-# suites as the closure path shows.  p2 cannot see the Koszul sign; the
-# central-order mutant is seen by the Heisenberg sweep only if the mirror
-# instance (m, n, b, a) computes its own central term m int(b a); no suite
-# here pins K on p2, and qprime reads K on both sides.  Only the LL central
-# term reads the Euler class, and its factor n^3 - n vanishes at |n| <= 1, the
-# index range of the calculus sweeps here, so no suite here sees `euler`
+def _double_ll_central(monkeypatch, algebras):
+    # the Euler class doubled, which doubles the LL central term, its only
+    # reader; the Euler class of torus_like is 0, so nothing changes there
+    for alg in algebras:
+        monkeypatch.setattr(alg, "euler", alg.euler.scale(2))
+
+
+# mutant -> (patch, {column: the algebras on which it must be seen}), the same
+# as the closure path shows; a column is a suite, and "LL |n|<=2" is LL on p2
+# with |n|, |m| <= 2.  p2 cannot see the Koszul sign; the central-order mutant
+# is seen by the Heisenberg sweep only if the mirror instance (m, n, b, a)
+# computes its own central term m int(b a); no suite here pins K on p2, and
+# qprime reads K on both sides.  K is 0 on torus_like, so only p2 can see the
+# boundary K factor.  Only the Heisenberg sweep of torus_like sees the odd
+# passage sign: the calculus sweeps there run at weight 1 and give Lq and LL
+# even classes only.  Only the LL central term reads the Euler class, and its
+# factor n^3 - n vanishes at |n| <= 1, so only "LL |n|<=2" sees `euler` and
+# the doubled central term.  The diagonal is built from the dual basis made at
+# load, so a pairing entry changed after load makes the diagonal and the
+# contracted diagonal disagree, which qprime sees through L
 HEISENBERG_MUTANTS = {
     "clean": (None, {}),
     "annihilation sign": (_flip_annihilation, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
-        "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
+        "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like"),
+        "LL |n|<=2": ("p2",)}),
     "Koszul sign": (_drop_koszul, {
         "heisenberg": ("torus_like",), "qprime": ("torus_like",),
         "nested_bracket": ("torus_like",)}),
     "central order": (_order_central, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
-        "LL": ("p2", "torus_like")}),
-    "L diagonal weight": (_double_l_diagonal, {"qprime": ("p2",)}),
+        "LL": ("p2", "torus_like"), "LL |n|<=2": ("p2",)}),
+    "L diagonal weight": (_double_l_diagonal, {
+        "qprime": ("p2",), "LL |n|<=2": ("p2",)}),
     "canonical class": (_shift_canonical, {"nested_bracket": ("torus_like",)}),
     "Kunneth coefficient": (_double_kunneth, {
         "Lq": ("p2", "torus_like"), "LL": ("p2", "torus_like"),
-        "qprime": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
+        "qprime": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like"),
+        "LL |n|<=2": ("p2",)}),
     "pairing entry": (_double_pairing, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
-        "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like")}),
-    "euler": (_shift_euler, {}),
+        "LL": ("p2", "torus_like"), "qprime": ("p2", "torus_like"),
+        "nested_bracket": ("p2", "torus_like"), "LL |n|<=2": ("p2",)}),
+    "euler": (_shift_euler, {"LL |n|<=2": ("p2",)}),
+    "odd passage sign": (_drop_odd_passage, {"heisenberg": ("torus_like",)}),
+    "boundary K factor": (_shift_boundary_k, {"qprime": ("p2",)}),
+    "LL central term": (_double_ll_central, {"LL |n|<=2": ("p2",)}),
 }
 CALCULUS_SUITES = ("Lq", "LL", "qprime", "nested_bracket")
 
@@ -615,16 +679,17 @@ def _mutated(monkeypatch, mutant):
 
 
 def _calculus_sweeps(p2, torus):
-    """(algebra, weight, max_index, suite -> classes): basis classes and
-    combinations with denominators; Lq and LL take even classes on
-    torus_like, as the acceptance suites do."""
+    """(algebra, weight, max_index, column -> classes), each column named by
+    its suite first: basis classes and combinations with denominators; Lq and
+    LL take even classes on torus_like, as the acceptance suites do."""
     p2_classes = p2.basis_elements() + [parse_element(p2, "3/4*h - 2*h2")]
     even = [parse_element(torus, t) for t in
             ("1", "x1x2", "x3x4", "x1x2x3x4", "2/3*x1x2 - 5*x3x4")]
     mixed = [parse_element(torus, t) for t in
              ("1", "x1", "x1x2", "x1x2x3", "1/2*x1 + 3*x3")]
     return ((p2, 2, 1, {"Lq": p2_classes, "LL": p2_classes, "qprime": p2_classes}),
-            (torus, 1, 1, {"Lq": even, "LL": even, "qprime": mixed}))
+            (torus, 1, 1, {"Lq": even, "LL": even, "qprime": mixed}),
+            (p2, 1, 2, {"LL |n|<=2": p2_classes}))
 
 
 def _row_and_closure_records(suite, alg, max_weight, max_index, classes):
@@ -652,12 +717,12 @@ def test_heisenberg_rows_match_the_generic_path(monkeypatch, mutant):
                           parse_element(torus, "2/3*x1x2 - 5*x3x4")]}),
     ) * (mutant == "clean" or "heisenberg" in seen_on) + _calculus_sweeps(p2, torus)
     for alg, max_weight, max_index, classes in sweeps:
-        for suite in list(classes) + ["nested_bracket"] * ("Lq" in classes):
-            got, want = _row_and_closure_records(suite, alg, max_weight, max_index,
-                                                 classes.get(suite))
-            assert got == want, (mutant, suite, alg.name)
-            assert got["passed"] is (alg.name not in seen_on.get(suite, ())), (
-                mutant, suite, alg.name)
+        for column in list(classes) + ["nested_bracket"] * ("Lq" in classes):
+            got, want = _row_and_closure_records(column.split()[0], alg, max_weight,
+                                                 max_index, classes.get(column))
+            assert got == want, (mutant, column, alg.name)
+            assert got["passed"] is (alg.name not in seen_on.get(column, ())), (
+                mutant, column, alg.name)
 
 
 @pytest.mark.parametrize("mutant", sorted(

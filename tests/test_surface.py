@@ -181,9 +181,20 @@ def test_diagonal_p2_frozen(p2):
 
 
 def test_adjunction_identity_all_presets():
-    # int((tau a)(b (x) c)) = int(a b c) with the Koszul product on the square
-    for name in PRESETS:
-        alg = load_preset(name)
+    # int((tau a)(b (x) c)) = int(a b c) with the Koszul product on the square,
+    # on the presets and on two scaled algebras: p2 at int(h2) = 2/3, whose
+    # dual basis has denominators, and torus_like with its integral times
+    # -1/2; and the projection formula: tau(e_i) contracted on its right
+    # factor against e_c is e_i e_c, the sign convention L reads
+    from closure_suites import fresh_algebra
+    algebras = [load_preset(name) for name in PRESETS] + [
+        fresh_algebra("p2", Rat(2, 3)), fresh_algebra("torus_like", Rat(-1, 2))]
+    for alg in algebras:
+        name = alg.name
+        for i in range(alg.dim):
+            for c in range(alg.dim):
+                assert dict(alg.contracted_kunneth(i)[c]) == alg.mul_basis(i, c), (
+                    name, i, c)
         for a_idx in range(alg.dim):
             a = alg.basis_element(a_idx)
             coeffs = expand_pairs(diagonal_pushforward(a), alg)
