@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals: sparse sums and row reduction.
 
 `axpy` is the one sparse accumulate: every sum of {key: c} dicts goes
-through it, from algebra products to operator images.  One routine serves
+through it, from algebra products to operator images.  `SparseVector` is
+the one sparse-vector type: algebra elements, Fock vectors and central
+elements inherit their linear arithmetic from it.  One routine serves
 every exact linear system of the package: `RowSpan` keeps a subspace in
 reduced row echelon form, and `solve` is a RowSpan of the augmented rows
-[A | B].  Vectors are lists of ints and Rats.  Each pivot
+[A | B]; their vectors are dense lists of ints and Rats.  Each pivot
 is inverted through `ratio`, never as `1 / x`, which would turn an int pivot
 into a float.  The pivot of a row is its first nonzero coordinate, scanned in
 coordinate order; the reduced echelon form is unique, so every derived object
@@ -12,7 +14,7 @@ coordinate order; the reduced echelon form is unique, so every derived object
 byte-stable across runs.
 """
 
-from ._rat import ratio
+from ._rat import exact, ratio
 
 
 def axpy(acc, terms, scale=1):
@@ -26,6 +28,51 @@ def axpy(acc, terms, scale=1):
         else:
             acc.pop(key, None)
     return acc
+
+
+class SparseVector:
+    """An exact linear combination {key: c} over `space`, with no zero entries.
+
+    Subclasses alias the space (an algebra, or the rank n) and set
+    `mismatch`, the message for combining vectors over different spaces;
+    combining vectors of two different types raises TypeError."""
+
+    __slots__ = ("space", "coeffs")
+
+    def __init__(self, space, coeffs=None):
+        self.space = space
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.space, axpy(dict(self.coeffs), other.coeffs))
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(self.space, axpy(dict(self.coeffs), other.coeffs, -1))
+
+    def __neg__(self):
+        return type(self)(self.space, {k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, scalar):
+        s = exact(scalar)
+        return type(self)(self.space, {k: c * s for k, c in self.coeffs.items()})
+
+    __rmul__ = scale
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.space == other.space
+                and self.coeffs == other.coeffs)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with "
+                            f"{type(other).__name__}")
+        if self.space != other.space:
+            raise ValueError(self.mismatch)
 
 
 def solve(matrix, rhs_columns):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ._rat import exact, signed_sum
-from ._linalg import RowSpan, axpy
+from ._linalg import RowSpan, SparseVector
 from .errors import CapExceeded
 
 DEFAULT_CAP = 9
@@ -144,10 +144,12 @@ def _product_row(lam, n):
     return row
 
 
-class CentralElement:
+class CentralElement(SparseVector):
     """Exact rational combination of class sums in the center of Q[S_n]."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
+    n = SparseVector.space
+    mismatch = "central elements of different ranks"
 
     def __init__(self, n, coeffs=None):
         self.n = n
@@ -158,23 +160,6 @@ class CentralElement:
     def class_sum(cls, lam, n=None):
         lam = tuple(lam)
         return cls(n if n is not None else sum(lam), {lam: 1})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        return CentralElement(self.n, axpy(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return CentralElement(self.n, axpy(dict(self.coeffs), other.coeffs, -1))
-
-    def scale(self, scalar):
-        s = exact(scalar)
-        return CentralElement(self.n, {p: c * s for p, c in self.coeffs.items()})
-
-    __rmul__ = scale
 
     def __mul__(self, other):
         if not isinstance(other, CentralElement):
@@ -190,16 +175,8 @@ class CentralElement:
                         acc[nu] = acc.get(nu, 0) + ca * cb * count
         return CentralElement(self.n, acc)
 
-    def __eq__(self, other):
-        return (isinstance(other, CentralElement) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
     def __repr__(self):
         return render_central(self)
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("central elements of different ranks")
 
 
 def render_central(elem):

@@ -17,8 +17,8 @@ _linalg.axpy.
 
 import functools
 
-from ._linalg import axpy
-from ._rat import exact, signed_sum
+from ._linalg import SparseVector, axpy
+from ._rat import signed_sum
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -172,14 +172,13 @@ def extend(worker, algebra, keyed, terms):
     return acc
 
 
-class FockVector:
+class FockVector(SparseVector):
     """Exact rational linear combination of canonical Fock monomials."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    __slots__ = ()
+    algebra = SparseVector.space
+    terms = SparseVector.coeffs
+    mismatch = "vectors over different algebras"
 
     @classmethod
     def vacuum(cls, algebra):
@@ -189,45 +188,13 @@ class FockVector:
     def zero(cls, algebra):
         return cls(algebra, {})
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), 0)
 
-    def __add__(self, other):
-        self._check(other)
-        return FockVector(self.algebra, axpy(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FockVector(self.algebra, axpy(dict(self.terms), other.terms, -1))
-
-    def __neg__(self):
-        return FockVector(self.algebra, {m: -c for m, c in self.terms.items()})
-
-    def scale(self, scalar):
-        s = exact(scalar)
-        if not s:
-            return FockVector.zero(self.algebra)
-        return FockVector(self.algebra, {m: c * s for m, c in self.terms.items()})
-
-    def __mul__(self, scalar):
-        return self.scale(scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, FockVector)
-                and self.algebra is other.algebra
-                and self.terms == other.terms)
+    __mul__ = SparseVector.scale
 
     def __repr__(self):
         return render_vector(self)
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("vectors over different algebras")
 
 
 def canonicalize(algebra, raw):

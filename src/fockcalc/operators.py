@@ -405,10 +405,13 @@ class Report:
     def passed(self):
         return self.discrepancy_count == 0
 
-    def record(self, params, mono_text, diff_text):
+    def record(self, params, algebra, mono, diff):
+        """Count the residual `diff` on `mono`; render only the kept ones."""
         self.discrepancy_count += 1
         if len(self.discrepancies) < self.max_kept:
-            self.discrepancies.append(Discrepancy(params, mono_text, diff_text))
+            self.discrepancies.append(Discrepancy(
+                params, fock.render_monomial(mono, algebra),
+                fock.render_vector(FockVector(algebra, diff))))
 
     def count_instance(self, label, checked):
         """Add `checked` checks; a label of None adds no per-instance entry."""
@@ -498,8 +501,7 @@ def _check_instances(report, algebra, instances):
     start = time.perf_counter()
     for instance in instances:
         for mono, diff in instance.residuals():
-            report.record(instance.params, fock.render_monomial(mono, algebra),
-                          fock.render_vector(FockVector(algebra, diff)))
+            report.record(instance.params, algebra, mono, diff)
         report.count_instance(instance.label, len(instance.monomials))
     if not report.checked:
         raise ValueError(f"{report.suite} on {report.algebra} checked nothing "

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from ._linalg import axpy, solve
+from ._linalg import SparseVector, axpy, solve
 from ._rat import exact, parse_rat, ratio, signed_sum
 from .errors import (
     AxiomViolation,
@@ -39,21 +39,16 @@ class BasisClass:
     degree: int
 
 
-class AlgebraElement:
+class AlgebraElement(SparseVector):
     """A rational linear combination of basis classes.
 
     Stored sparsely as {basis index: coefficient} with no zero entries.
     Supports +, -, scalar *, and the algebra product via *.
     """
 
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra, coeffs):
-        self.algebra = algebra
-        self.coeffs = {i: c for i, c in coeffs.items() if c}
-
-    def is_zero(self):
-        return not self.coeffs
+    __slots__ = ()
+    algebra = SparseVector.space
+    mismatch = "elements over different algebras"
 
     def degree(self):
         """Common degree of the support, or None when mixed or zero."""
@@ -62,43 +57,14 @@ class AlgebraElement:
             return degs.pop()
         return None
 
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra, axpy(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraElement(self.algebra,
-                              axpy(dict(self.coeffs), other.coeffs, -1))
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, {i: -c for i, c in self.coeffs.items()})
-
-    def scale(self, scalar):
-        s = exact(scalar)
-        return AlgebraElement(self.algebra, {i: c * s for i, c in self.coeffs.items()})
-
-    __rmul__ = scale
-
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             return mul(self, other)
         return self.scale(other)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
     def __repr__(self):
         return signed_sum((self.coeffs[i], self.algebra.basis[i].id)
                           for i in sorted(self.coeffs))
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements over different algebras")
 
 
 class SurfaceAlgebra:
@@ -224,8 +190,7 @@ class SurfaceAlgebra:
 
 def mul(a, b):
     """Product in the algebra, extended bilinearly from structure constants."""
-    if a.algebra is not b.algebra:
-        raise ValueError("elements over different algebras")
+    a._check(b)
     alg = a.algebra
     acc = {}
     for i, ca in a.coeffs.items():

@@ -1,13 +1,22 @@
-"""The one exact row reduction: `solve` against a Leibniz determinant."""
+"""The one exact row reduction, `solve` against a Leibniz determinant, and
+the arithmetic that the sparse-vector types share through `SparseVector`."""
 
 import copy
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fockcalc import Rat
-from fockcalc._linalg import solve
+from fockcalc import (
+    AlgebraElement,
+    CentralElement,
+    FockVector,
+    Rat,
+    load_preset,
+    mul,
+)
+from fockcalc._linalg import SparseVector, solve
 
 SCALARS = st.builds(lambda p, q: Rat(p, q), st.integers(-3, 3), st.integers(1, 3))
 
@@ -63,3 +72,59 @@ def test_solve_matches_the_determinant(system):
         for entry in x:
             assert isinstance(entry, int) == (entry == int(entry)), entry
             assert isinstance(entry, (int, Rat))
+
+
+# -- the shared sparse-vector arithmetic -----------------------------------------
+
+# type: (two different spaces, two keys valid in the first, mismatch message)
+VECTOR_TYPES = {
+    AlgebraElement: (("p2", "p1xp1"), (1, 2), "elements over different algebras"),
+    FockVector: (("p2", "p1xp1"), (((1, 1),), ((2, 0), (1, 2))),
+                 "vectors over different algebras"),
+    CentralElement: ((3, 4), ((2, 1), (3,)), "central elements of different ranks"),
+}
+
+
+def spaces(cls):
+    names, _, _ = VECTOR_TYPES[cls]
+    return [load_preset(x) if isinstance(x, str) else x for x in names]
+
+
+@pytest.mark.parametrize("cls", list(VECTOR_TYPES), ids=lambda c: c.__name__)
+def test_shared_sparse_arithmetic(cls):
+    space, other_space = spaces(cls)
+    _, (j, k), mismatch = VECTOR_TYPES[cls]
+    assert issubclass(cls, SparseVector)
+    u = cls(space, {j: 1, k: 0})
+    v = cls(space, {j: Rat(1, 2), k: -3})
+    assert u.coeffs == {j: 1} and not u.is_zero()
+    assert (u + v).coeffs == {j: Rat(3, 2), k: -3}
+    assert (u - v).coeffs == {j: Rat(1, 2), k: 3}
+    assert (-v).coeffs == {j: Rat(-1, 2), k: 3}
+    assert v.scale(2).coeffs == {j: 1, k: -6} and 2 * v == v.scale(2)
+    assert (u - u).is_zero() and v.scale(0).is_zero() and (v + -v).is_zero()
+    assert cls(space, {j: 0}).is_zero() and cls(space).is_zero()
+    with pytest.raises(TypeError):
+        v.scale(0.5)
+    assert u == cls(space, {j: 1}) and u != v and cls(space) != cls(other_space)
+    with pytest.raises(ValueError, match=mismatch):
+        u + cls(other_space, {})
+    with pytest.raises(ValueError, match=mismatch):
+        u - cls(other_space, {})
+    for other in VECTOR_TYPES:
+        if other is not cls:
+            foreign = other(spaces(other)[0], {})
+            assert cls(space) != foreign and foreign != cls(space)
+            with pytest.raises(TypeError):
+                u + foreign
+            with pytest.raises(TypeError):
+                u - foreign
+
+
+def test_products_over_different_spaces(p2, p1xp1):
+    with pytest.raises(ValueError, match="elements over different algebras"):
+        p2.unit() * p1xp1.unit()
+    with pytest.raises(ValueError, match="elements over different algebras"):
+        mul(p2.unit(), p1xp1.unit())
+    with pytest.raises(ValueError, match="central elements of different ranks"):
+        CentralElement.class_sum((2, 1)) * CentralElement.class_sum((4,))

@@ -428,16 +428,25 @@ def test_report_rendering(p2):
     assert record["passed"] is True and record["checked"] == rep.checked
 
 
-def test_report_discrepancy_path():
+def test_report_discrepancy_path(p2, monkeypatch):
     # a correct engine never produces discrepancies from valid algebras, so
-    # exercise the record/rendering path directly
+    # exercise the record/rendering path directly; only the kept
+    # discrepancies are rendered
+    from fockcalc import fock
     from fockcalc.operators import Report
-    rep = Report("heisenberg", "fake", {"n": 1}, 2)
+    rendered = []
+    render_vector = fock.render_vector
+    monkeypatch.setattr(fock, "render_vector",
+                        lambda v: rendered.append(v) or render_vector(v))
+    rep = Report("heisenberg", "p2", {"n": 1}, 2)
     for k in range(30):
-        rep.record({"n": k}, "q_1(1) |0>", "1 * |0>")
+        rep.record({"n": k}, p2, ((1, 0),), {(): 1})
     assert not rep.passed
     assert rep.discrepancy_count == 30
     assert len(rep.discrepancies) == rep.max_kept  # capped, count exact
+    assert len(rendered) == rep.max_kept
+    assert (rep.discrepancies[0].monomial, rep.discrepancies[0].difference) \
+        == ("q_1(1) |0>", "1 * |0>")
     assert "result: FAIL" in rep.render_text()
     assert rep.to_record()["passed"] is False
 
