@@ -68,11 +68,10 @@ def prepend_part(mono, size, color, algebra):
             f"monomial weight would exceed the cap {_MAX_WEIGHT}")
     parities = algebra.parities
     odd = parities[color]
-    key = (-size, color)
     pos = 0
     crossings = 0
     for s, c in mono:
-        if (-s, c) < key:
+        if s > size or (s == size and c < color):
             if odd and parities[c]:
                 crossings += 1
             pos += 1
@@ -98,33 +97,43 @@ def create_into(acc, size, color, vec_terms, coeff, algebra):
             acc.pop(new, None)
 
 
+def annihilate_into(acc, terms, size, weights, coeff, parities, ids):
+    """acc += coeff * c * weights[p] * sign * rest for each (mono, c) of
+    `terms` and each part (size, p) of mono, rest being mono without that
+    part, keyed in acc by ids.get(rest, rest).
+
+    This is the Koszul walk of every annihilation: the sign is -1 when the
+    part is odd and an odd number of odd parts stand before it.  The part has
+    the parity of the annihilated class, since the pairing is nonzero only
+    between complementary degrees.
+    """
+    for mono, c in terms:
+        passed_odd = 0
+        for j, (s, p) in enumerate(mono):
+            if s == size and weights[p]:
+                # int factors first: c may be a Fraction, and then this is
+                # the one Fraction product of the term
+                val = coeff * weights[p] * c
+                if passed_odd & parities[p]:
+                    val = -val
+                new = mono[:j] + mono[j + 1:]
+                new = ids.get(new, new)
+                val += acc.get(new, 0)
+                if val:
+                    acc[new] = val
+                else:
+                    acc.pop(new, None)
+            passed_odd += parities[p]
+
+
 def contract_into(acc, size, color, vec_terms, coeff, algebra):
     """acc += coeff * q_{-size}(e_color) applied to {mono: c} terms.
 
-    The annihilation operator walks right with Koszul signs, and each part of
-    matching size contributes -size * integral(e_color * part color) times the
-    monomial with that part removed.
+    Each part of matching size contributes -size * integral(e_color * part
+    color) times the monomial with that part removed (annihilate_into).
     """
-    parities = algebra.parities
-    pairing = algebra.pairing[color]
-    odd = parities[color]
-    for mono, c in vec_terms.items():
-        passed_odd = 0
-        for j, (s, cj) in enumerate(mono):
-            if s == size:
-                pval = pairing[cj]
-                if pval:
-                    scal = -size * pval * coeff * c
-                    if odd and passed_odd & 1:
-                        scal = -scal
-                    new = mono[:j] + mono[j + 1:]
-                    val = acc.get(new, 0) + scal
-                    if val:
-                        acc[new] = val
-                    else:
-                        acc.pop(new, None)
-            if parities[cj]:
-                passed_odd += 1
+    annihilate_into(acc, vec_terms.items(), size, algebra.pairing[color],
+                    -size * coeff, algebra.parities, {})
 
 
 def memo(kind):

@@ -19,11 +19,13 @@ The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
 an identity in ints: a _RowInstance scans the sweep monomials in one pass,
 composing int rows of q, L_n, d and q_1^(k) (_Rows), and builds monomials
 only where a residual is nonzero.  An op's rows on every sweep monomial are
-tabled when the op is made; a row above the sweep weight is built at each
-use.  Rows of q come from the kernels, those of L_n, d and q_1^(k) from the
-memo images.  The heisenberg and LL sweeps compose each product once for an
-instance and its mirror.  The expansion suite applies the operators below per
-monomial (Instance).
+tabled when the op is made, with the monomials whose row is not empty; a
+scan visits only those of its words' first ops.  Above the sweep weight, a
+q step is one kernel call into the scan's sums (fock.prepend_part per class
+of a creation, fock.annihilate_into for an annihilation), and a row of L_n, d
+or q_1^(k) is built from the memo images at each use.  The heisenberg and LL
+sweeps compose each product once for an instance and its mirror.  The
+expansion suite applies the operators below per monomial (Instance).
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
@@ -520,14 +522,17 @@ def _index_range(bound):
 
 
 class _Op:
-    """One operator's rows, `table` holding those on every sweep monomial.
-    `scale` times its image is fn({mono: 1}), or for a creation q_n (fn None)
-    the parts (n, color, int coefficient) of `parts` prepended (_Rows.row)."""
+    """One operator's rows: `table` holds those on every sweep monomial, and
+    `keys` the sweep monomials whose row is not empty.  `scale` times its
+    image is fn({mono: 1}); a creation q_n (fn None) prepends the parts (n,
+    color, int coefficient) of `parts`, and an annihilation q_{-size} takes
+    out a part (size, c) with the int weight weights[c] (_Rows.row)."""
 
-    __slots__ = ("table", "fn", "scale", "parts")
+    __slots__ = ("table", "keys", "fn", "scale", "parts", "size", "weights")
 
-    def __init__(self, fn, scale, parts=None):
+    def __init__(self, fn, scale, parts=None, size=None, weights=None):
         self.fn, self.scale, self.parts = fn, scale, parts
+        self.size, self.weights = size, weights
 
 
 def _den(values):
@@ -556,6 +561,13 @@ class _RowInstance(NamedTuple):
     `rhs` hold (word, c) pairs, c the identity's exact coefficient of the
     word.  `keep` and `take` hand the images of `lhs` from the first instance
     of a slot pair to its mirror (_Rows.bracket).
+
+    The scan visits only the keys on which some word's first op has a row,
+    and those a mirror takes, unless the central term is nonzero: on any
+    other key every image is 0.  Where the op a word applies last meets a
+    monomial above the sweep weight, a q takes one kernel call, adding
+    straight into the key's sums: fock.prepend_part per class of a creation,
+    fock.annihilate_into for an annihilation.  Any other op reads its row.
     """
 
     label: object
@@ -588,26 +600,68 @@ class _RowInstance(NamedTuple):
                      for w, c in words if c] for words in (self.lhs, self.rhs))
         den = _den([c for _, c in lhs + rhs] + [self.central, s])
         s, central = _whole(s * den), _whole(self.central * den)
+        firsts, n = [w[-1].keys for w, _ in lhs + rhs], len(monomials)
+        keys = (range(n) if central or any(len(k) == n for k in firsts)
+                else sorted(set(taken).union(*firsts)))
         keep = None if self.keep is None else {}
         if keep is not None:
             rows.kept[self.keep] = den, keep
-        lhs, rhs = ([(w[0], w[0].table, w[-1] if len(w) > 1 else None, w[-2:0:-1],
-                      _whole(c * den)) for w, c in words] for words in (lhs, rhs))
-        compose = rows.compose
-        for key in range(len(monomials)):
-            acc = compose(lhs, key, {}) if lhs else {}
-            if keep is not None and any(acc.values()):
-                keep[key] = tuple([(t, c) for t, c in acc.items() if c])
+        again = keep is None or rhs or central
+        lhs = [(w[-1].table, w[-2:0:-1], w[0] if len(w) > 1 else None,
+                _whole(c * den)) for w, c in lhs]
+        rhs = [(w[0].table, _whole(c * den)) for w, c in rhs]
+        row, ids, algebra = rows.row, rows.ids, rows.algebra
+        prepend, annihilate = fock.prepend_part, fock.annihilate_into
+        parities = algebra.parities
+        for key in keys:
+            acc = {}
+            for table, middle, outer, coeff in lhs:
+                terms = table[key]
+                for op in middle:
+                    mid = {}
+                    for k, c in terms:
+                        for t, d in op.table[k] if k.__class__ is int else row(op, k):
+                            mid[t] = mid.get(t, 0) + c * d
+                    terms = [(t, c) for t, c in mid.items() if c]
+                if outer is None:
+                    for t, c in terms:
+                        acc[t] = acc.get(t, 0) + coeff * c
+                    continue
+                otable, parts, weights = outer.table, outer.parts, outer.weights
+                for t, c in terms:
+                    c *= coeff
+                    if t.__class__ is int:
+                        for u, d in otable[t]:
+                            acc[u] = acc.get(u, 0) + c * d
+                    elif weights is not None:
+                        annihilate(acc, ((t, c),), outer.size, weights, 1,
+                                   parities, ids)
+                    elif parts is not None:
+                        for size, color, d in parts:
+                            hit = prepend(t, size, color, algebra)
+                            if hit is not None:
+                                u = hit[0]
+                                acc[u] = acc.get(u, 0) + hit[1] * c * d
+                    else:
+                        for u, d in row(outer, t):
+                            acc[u] = acc.get(u, 0) + c * d
+            if keep is not None:
+                diff = tuple([(t, c) for t, c in acc.items() if c])
+                if diff:
+                    keep[key] = diff
             if taken:
                 for t, c in taken.pop(key, ()):
                     acc[t] = acc.get(t, 0) + s * c
-            if rhs:
-                compose(rhs, key, acc)
+            for table, coeff in rhs:
+                for t, c in table[key]:
+                    acc[t] = acc.get(t, 0) + coeff * c
             if central:
                 acc[key] = acc.get(key, 0) - central
-            if any(acc.values()):
+            if again:
+                diff = [(t, c) for t, c in acc.items() if c]
+            if diff:
                 yield monomials[key], {(monomials[t] if t.__class__ is int else t):
-                                       ratio(c, den) for t, c in acc.items() if c}
+                                       ratio(c, den) for t, c in diff}
 
 
 class _Rows:
@@ -619,11 +673,13 @@ class _Rows:
     above it.  The row of an op on a monomial is its scaled image as a tuple
     of (key, int) pairs, a sweep monomial keyed by its index in `monomials`
     and any other by itself.  An op's table holds its rows on every sweep
-    monomial from the moment it is made; a row above the sweep weight is
-    built again at each use (row), so the tables are bounded by the sweep
-    weight.  Rows of a creation q_n come from fock.prepend_part, rows of an
-    annihilation from its kernel, and rows of L_n, d and q_1^(k) from the
-    memo images.  An op's fn never refers to the _Rows: a cycle through
+    monomial from the moment it is made, and its keys the sweep monomials
+    whose row is not empty; nothing above the sweep weight is kept, so the
+    tables are bounded by the sweep weight.  Rows of a creation q_n come from
+    fock.prepend_part, rows of an annihilation from fock.annihilate_into with
+    the op's int weights, and rows of L_n, d and q_1^(k) from the memo
+    images; a scan steps q ops above the sweep weight through the same two
+    kernels.  An op's fn never refers to the _Rows: a cycle through
     `ops` would keep every row alive until a garbage collection.  `kept`
     holds, per slot pair, the images a first instance keeps until its mirror
     pops them (bracket).
@@ -640,20 +696,30 @@ class _Rows:
         """make(index, alpha) as an op whose scale is `factor` times the common
         denominator of alpha, applied to alpha times that scale, with its
         table filled; make is q, virasoro, q1_kth_bracket or _scaled_d.  A
-        creation q_n keeps the parts it prepends instead of an fn (row)."""
+        creation q_n keeps the parts it prepends, and an annihilation its
+        weights, instead of an fn (row)."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             _check_algebras(self, alpha)
             scale = _den(alpha.coeffs.values()) * factor
             scaled = {c: _whole(x * scale) for c, x in alpha.coeffs.items()}
-            if make is q and index > 0:
+            if make is not q:
+                op = _Op(make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+            elif index > 0:
                 op = _Op(None, scale, tuple((index, c, x) for c, x in scaled.items()))
             else:
-                op = _Op(make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+                # w[c] = -size int(alpha e_c) scale, the coefficient of a part
+                # (size, c) that contract_into would give
+                pairing = self.algebra.pairing
+                op = _Op(None, scale, size=-index, weights=[
+                    _whole(index * sum(x * pairing[i][c] for i, x in scaled.items()))
+                    for c in range(self.algebra.dim)])
             # row keys a creation by its monomial, which here may be a sweep one
             ids = self.ids
             op.table = [tuple([(ids.get(t, t), c) for t, c in self.row(op, mono)])
                         for mono in self.monomials]
+            # the ints of ids, shared by every op's keys, not new ones per op
+            op.keys = [k for k, row in zip(ids.values(), op.table) if row]
             self.ops[key] = op
         return self.ops[key]
 
@@ -678,18 +744,22 @@ class _Rows:
         A row of a creation q_n is built by fock.prepend_part, one class at
         a time.  The creations of distinct classes are distinct monomials, so
         they need no sum, and they stay above the sweep weight, so they are
-        not looked up in `ids`.  Any other op's row is its fn's image.
+        not looked up in `ids`.  A row of an annihilation is one
+        fock.annihilate_into call, and any other op's row is its fn's image.
         """
-        if op.parts is None:
-            ids = self.ids
+        ids = self.ids
+        if op.fn is not None:
             return tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
                           for t, c in op.fn({mono: 1}).items()])
-        got = []
-        for size, color, c in op.parts:
+        got = {}
+        if op.weights is not None:
+            fock.annihilate_into(got, ((mono, 1),), op.size, op.weights, 1,
+                                 self.algebra.parities, ids)
+        for size, color, c in op.parts or ():
             hit = fock.prepend_part(mono, size, color, self.algebra)
             if hit is not None:
-                got.append((hit[0], c if hit[1] > 0 else -c))
-        return tuple(got)
+                got[hit[0]] = c if hit[1] > 0 else -c
+        return tuple(got.items())
 
     def bracket(self, f, g, sign, slots=None):
         """The left side (words, keep, take) of [f, g] = f g - sign g f.
@@ -714,24 +784,6 @@ class _Rows:
         return _RowInstance(label, params, self, *left,
                             tuple(((op,), -s) for s, op in rhs),
                             central, self.monomials)
-
-    def compose(self, plans, key, acc):
-        """acc plus the image of the sweep monomial `key` under the planned
-        words, each (outer, outer's table, inner, middle ops, int coeff)."""
-        row = self.row
-        for outer, table, inner, middle, coeff in plans:
-            terms = ((key, 1),) if inner is None else inner.table[key]
-            for op in middle:
-                mid = {}
-                for k, c in terms:
-                    for t, d in op.table[k] if k.__class__ is int else row(op, k):
-                        mid[t] = mid.get(t, 0) + c * d
-                terms = [(t, c) for t, c in mid.items() if c]
-            for mid, c in terms:
-                c *= coeff
-                for t, d in table[mid] if mid.__class__ is int else row(outer, mid):
-                    acc[t] = acc.get(t, 0) + c * d
-        return acc
 
 
 def _slot_pairs(rows, ops, idx, classes):

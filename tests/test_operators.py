@@ -481,34 +481,33 @@ def test_verify_relations_runs_on_one_thread(p2):
 
 
 def _flip_annihilation(monkeypatch, algebras):
-    # every annihilation: the q_{-n} kernel and the contracted diagonal that
-    # L_n reads in place of an annihilation acting first
-    from fockcalc import fock, operators
+    # every annihilation: the Koszul walk every q_{-n} runs (annihilate_into)
+    # and the contracted diagonal that L_n reads in place of an annihilation
+    # acting first
+    from fockcalc import fock
     from fockcalc.surface import SurfaceAlgebra
+    walk = fock.annihilate_into
 
-    def flipped(acc, size, color, terms, coeff, algebra):
-        fock.contract_into(acc, size, color, terms, -coeff, algebra)
+    def flipped(acc, terms, size, weights, coeff, parities, ids):
+        walk(acc, terms, size, weights, -coeff, parities, ids)
 
     contracted = SurfaceAlgebra.contracted_kunneth
-    monkeypatch.setattr(operators, "contract_into", flipped)
+    monkeypatch.setattr(fock, "annihilate_into", flipped)
     monkeypatch.setattr(SurfaceAlgebra, "contracted_kunneth", lambda alg, i: [
         tuple((u, -w) for u, w in row) for row in contracted(alg, i)])
 
 
 def _drop_odd_passage(monkeypatch, algebras):
-    # contract_into without the sign an odd annihilation picks up for each odd
-    # part it passes: the kernel run as if every class were even
-    from types import SimpleNamespace
+    # the Koszul walk of every annihilation (annihilate_into) without the sign
+    # an odd part picks up for each odd part before it: the walk run as if
+    # every class were even
+    from fockcalc import fock
+    walk = fock.annihilate_into
 
-    from fockcalc import fock, operators
-    contract = fock.contract_into
+    def unsigned(acc, terms, size, weights, coeff, parities, ids):
+        walk(acc, terms, size, weights, coeff, [0] * len(parities), ids)
 
-    def unsigned(acc, size, color, terms, coeff, algebra):
-        even = SimpleNamespace(parities=[0] * algebra.dim, pairing=algebra.pairing)
-        contract(acc, size, color, terms, coeff, even)
-
-    monkeypatch.setattr(fock, "contract_into", unsigned)
-    monkeypatch.setattr(operators, "contract_into", unsigned)
+    monkeypatch.setattr(fock, "annihilate_into", unsigned)
 
 
 def _drop_koszul(monkeypatch, algebras):
@@ -757,6 +756,73 @@ def test_heisenberg_pairs_on_edge_class_lists(monkeypatch, mutant):
         got = verify_relations("heisenberg", alg, max_weight=max_weight,
                                max_index=max_index, classes=classes).to_record()
         assert got == closure_record("heisenberg", alg, max_weight, max_index, classes)
+
+
+@pytest.mark.parametrize("mutant", sorted(HEISENBERG_MUTANTS))
+def test_sparse_scan_matches_the_full_scan(monkeypatch, mutant):
+    # a scan visits only the keys on which a word's first op has a row (and
+    # the keys a mirror takes), unless the central term is nonzero; with
+    # every op's keys set to all sweep monomials each record stays the same,
+    # failures included.  The nested bracket's first ops are creations, which
+    # have a row on every key; its memo fills at w2 on torus_like take about
+    # 3 s, so only the clean row runs it there, the mutants at w1
+    from fockcalc import operators
+    p2, torus = _mutated(monkeypatch, mutant)
+    p2_classes = p2.basis_elements() + [parse_element(p2, "3/4*h - 2*h2")]
+    even, mixed = ([parse_element(torus, t) for t in texts] for texts in (
+        ("1", "x1x2", "2/3*x1x2 - 5*x3x4"), ("1", "x1", "x1x2x3", "1/2*x1 + 3*x3")))
+    sweeps = ((p2, dict.fromkeys(("heisenberg", "Lq", "LL", "qprime"), p2_classes)),
+              (torus, {"heisenberg": mixed, "Lq": even, "LL": even, "qprime": mixed}))
+    nested = [(p2, 2), (torus, 2 if mutant == "clean" else 1)]
+    sparse = operators._Rows
+
+    class Full(sparse):
+        def op(self, *args):
+            got = super().op(*args)
+            got.keys = list(range(len(self.monomials)))
+            return got
+
+    def records(rows_class):
+        monkeypatch.setattr(operators, "_Rows", rows_class)
+        got = [verify_relations(suite, alg, max_weight=2, max_index=1,
+                                classes=classes[suite]).to_record()
+               for alg, classes in sweeps for suite in classes]
+        return got + [verify_relations("nested_bracket", alg, max_weight=w).to_record()
+                      for alg, w in nested]
+
+    want = records(sparse)
+    assert records(Full) == want, mutant
+    assert mutant != "clean" or all(r["passed"] for r in want)
+
+
+@pytest.mark.parametrize("name, scale, suite, max_weight, max_index, texts", (
+    ("p2", Rat(2, 3), "heisenberg", 3, 2, ("1", "h", "h2", "3/4*h - 2*h2")),
+    ("p2", Rat(2, 3), "qprime", 2, 2, ("1", "h", "h2", "3/4*h - 2*h2")),
+    ("torus_like", 1, "heisenberg", 2, 1,
+     ("1/2*x1 - 3/4*x3", "2/3*x2 + 5*x1x3x4", "-7/5*x1x2 + 1/3*x3x4"))))
+def test_annihilation_weights_on_rational_classes(monkeypatch, name, scale, suite,
+                                                  max_weight, max_index, texts):
+    # int(h2) = 2/3 gives the pairing a denominator, and the torus_like
+    # classes are two-class single-parity combinations with the supports of
+    # the benchmark: an annihilation's int weights w[c] = -n int(alpha e_c)
+    # times its scale, made whole once, against the closure path
+    from closure_suites import closure_record, fresh_algebra
+    from fockcalc.operators import Report, _Rows
+    from fockcalc.surface import integral, mul
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
+    alg = fresh_algebra(name, scale)
+    classes = [parse_element(alg, t) for t in texts]
+    rows = _Rows(alg, 1)
+    for alpha, n in itertools.product(classes, (1, 2)):
+        op = rows.q(-n, alpha)
+        assert op.scale > 1
+        assert op.weights == [-n * integral(mul(alpha, alg.basis_element(c))) * op.scale
+                              for c in range(alg.dim)]
+        assert all(w.__class__ is int for w in op.weights)
+    got = verify_relations(suite, alg, max_weight=max_weight, max_index=max_index,
+                           classes=classes).to_record()
+    assert got == closure_record(suite, alg, max_weight, max_index, classes)
+    assert got["passed"]
 
 
 def test_heisenberg_rows_keep_the_errors(p2, torus):
