@@ -10,6 +10,7 @@ store reduced fractions with positive denominator and stringify as
 algebra files and reports; `signed_sum` renders every linear combination.
 """
 
+import math
 import re
 
 from .errors import ParseError
@@ -28,6 +29,18 @@ def ratio(num, den=1):
     """The exact quotient num/den: an int when it is whole, else a Rat."""
     value = Rat(num) / den
     return int(value) if value.denominator == 1 else value
+
+
+def whole(c):
+    """c as an int; ArithmeticError when it is not whole, so nothing rounds."""
+    if c.__class__ is not int and c.denominator != 1:
+        raise ArithmeticError(f"coefficient {c} is not whole")
+    return int(c)
+
+
+def common_den(values):
+    """The least common denominator of exact `values` (1 for none)."""
+    return math.lcm(*(int(x.denominator) for x in values))
 
 
 def exact(scalar):

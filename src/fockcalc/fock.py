@@ -18,7 +18,7 @@ _linalg.axpy.
 import functools
 
 from ._linalg import SparseVector, axpy
-from ._rat import signed_sum
+from ._rat import ratio, signed_sum
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -140,6 +140,10 @@ def memo(kind):
     """Memoize a per-monomial worker fn(algebra, *key) in the algebra's table
     `algebra._op_caches[kind]`.
 
+    With D = algebra.table_scale, the tables L, d, q1k and gk hold D L_n,
+    D d and D^k q_1^(k), all in ints, and k! D^k G_k; the public operators
+    divide by that factor once (extend).
+
     An algebra's tables are emptied whenever the weight cap differs from the
     one they were filled under, so a warm table raises TruncationExceeded
     exactly where a cold one would.  Images are shared: callers must not
@@ -166,11 +170,12 @@ def memo(kind):
     return decorate
 
 
-def extend(worker, algebra, keyed, terms):
-    """The linear extension of a per-monomial worker.
+def extend(worker, algebra, keyed, terms, den=1):
+    """The linear extension of a per-monomial worker, divided by `den`.
 
     Sums coeff * c * worker(algebra, *key, mono) over (key, coeff) in `keyed`
-    and (mono, c) in `terms`.
+    and (mono, c) in `terms`, then divides the sum once: a whole quotient of
+    ints stays an int (//), and any other goes through ratio.
     """
     acc = {}
     for key, coeff in keyed:
@@ -178,7 +183,10 @@ def extend(worker, algebra, keyed, terms):
             image = worker(algebra, *key, mono)
             if image:
                 axpy(acc, image, coeff * c)
-    return acc
+    if den == 1:
+        return acc
+    return {m: c // den if c.__class__ is int and not c % den else ratio(c, den)
+            for m, c in acc.items()}
 
 
 class FockVector(SparseVector):

@@ -82,7 +82,8 @@ def q1_kth_bracket(k, alpha):
     """The operator q_1^(k)(alpha): k-fold derivative of q_1(alpha).
 
     q_1^(0) = q_1, q_1^(1) = L_1.  Applications on monomials are memoized per
-    algebra and basis color.
+    algebra and basis color, as D^k q_1^(k) in ints (D = table_scale), and
+    the summed image is divided by D^k once.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -92,7 +93,7 @@ def q1_kth_bracket(k, alpha):
     keyed = tuple(((k, color), coeff) for color, coeff in alpha.coeffs.items())
 
     def fn(terms):
-        return extend(_q1k_mono, algebra, keyed, terms)
+        return extend(_q1k_mono, algebra, keyed, terms, algebra.table_scale ** k)
 
     degree, parity = _grading(alpha, 2 * k)
     return LinearOperator(algebra, fn, 1, degree, parity,
@@ -101,8 +102,10 @@ def q1_kth_bracket(k, alpha):
 
 @memo("q1k")
 def _q1k_mono(algebra, k, color, mono):
-    """q_1^(k)(e_color) applied to one monomial.  No k = 0 image is kept for
-    an intermediate: k = 1 applies q_1 to the memoized d images directly."""
+    """D^k q_1^(k)(e_color) applied to one monomial, D = algebra.table_scale:
+    the recursion [D d, D^(k-1) q_1^(k-1)] on the D d images keeps it whole.
+    No k = 0 image is kept for an intermediate: k = 1 applies q_1 to the
+    memoized d images directly."""
     hit = fock.prepend_part(mono, 1, color, algebra) if k < 2 else None
     if k == 0:
         return {} if hit is None else {hit[0]: hit[1]}
@@ -127,6 +130,7 @@ def apply_formal_g(k, gamma, v):
     Recursion: G_k(gamma)(q_1(b) w) = 1/k! q_1^(k)(gamma b)(w)
                + (-1)^{deg gamma * deg b} q_1(b) G_k(gamma)(w),
     anchored at G_k(gamma)|0> = 0.  DomainError if any part has size >= 2.
+    The memo images of k! D^k G_k are summed and divided by k! D^k once.
     """
     algebra = v.algebra
     for mono in v.terms:
@@ -134,19 +138,22 @@ def apply_formal_g(k, gamma, v):
             raise DomainError(
                 "the formal G operator is only determined on the q_1 span")
     keyed = tuple(((k, gcolor), gcoeff) for gcolor, gcoeff in gamma.coeffs.items())
-    return FockVector(algebra, extend(_gk_mono, algebra, keyed, v.terms))
+    return FockVector(algebra, extend(_gk_mono, algebra, keyed, v.terms,
+                                      math.factorial(k) * algebra.table_scale ** k))
 
 
 @memo("gk")
 def _gk_mono(algebra, k, gcolor, mono):
+    """k! D^k G_k(e_gcolor) applied to one monomial of the q_1 span, D =
+    algebra.table_scale: the recursion reads the D^k q_1^(k) images as they
+    are, so on a preset every coefficient is an int."""
     if not mono:
         return {}
     (_, bcolor), rest = mono[0], mono[1:]
     acc = {}
-    # 1/k! q_1^(k)(gamma * b) applied to the rest
-    inv_kfact = ratio(1, math.factorial(k))
+    # q_1^(k)(gamma * b) applied to the rest, times k! D^k
     for pcolor, pcoeff in algebra.mul_basis(gcolor, bcolor).items():
-        axpy(acc, _q1k_mono(algebra, k, pcolor, rest), inv_kfact * pcoeff)
+        axpy(acc, _q1k_mono(algebra, k, pcolor, rest), pcoeff)
     # Koszul passthrough
     sign = -1 if (algebra.parities[gcolor] and algebra.parities[bcolor]) else 1
     inner = _gk_mono(algebra, k, gcolor, rest)
@@ -246,7 +253,7 @@ def _nested_bracket_instance(k, gamma, alphas, rows, params):
     if len(alphas) != k + 1:
         raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
     prod = mul(gamma, alphas[0])
-    x = rows.op(q1_kth_bracket, k, prod, rows.scale ** k)
+    x = rows.op(_q1k_mono, k, prod, rows.algebra.table_scale ** k)
     words, parity = {(x,): 1}, _grading(prod, 0)[1]
     for a in alphas[1:]:
         y, y_parity = rows.q(1, a), _grading(a, 0)[1]

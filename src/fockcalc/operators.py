@@ -28,12 +28,14 @@ sweeps compose each product once for an instance and its mirror.  The
 expansion suite applies the operators below per monomial (Instance).
 
 Applications of the Virasoro and boundary operators on basis monomials are
-memoized in per-algebra tables (fock.memo).  An algebra's tables are emptied
-when the weight cap changes, so a warm table raises TruncationExceeded
-exactly where a cold one would.
+memoized in per-algebra tables (fock.memo).  With D = algebra.table_scale,
+the tables hold D L_n and D d, and generators' table D^k q_1^(k), all in
+ints, for every algebra: the public operators divide their summed image by
+that power of D once, and the rows multiply the images by ints.  An
+algebra's tables are emptied when the weight cap changes, so a warm table
+raises TruncationExceeded exactly where a cold one would.
 """
 
-import functools
 import itertools
 import math
 import time
@@ -42,10 +44,10 @@ from typing import NamedTuple
 
 from . import _linalg, fock
 from ._linalg import axpy
-from ._rat import exact, ratio
+from ._rat import common_den, exact, ratio, whole
 from .errors import MixedDegree, SingularGram
 from .fock import FockVector, contract_into, create_into, extend, memo
-from .surface import AlgebraElement, integral, mul
+from .surface import integral, mul
 
 
 def _check_algebras(f, x):
@@ -200,61 +202,67 @@ def q(n, alpha):
 
 @memo("L")
 def _virasoro_mono(algebra, n, color, mono):
-    """L_n(e_color) applied to one monomial.
+    """D L_n(e_color) applied to one monomial, D = algebra.table_scale.
 
     The orders (m, n-m) and (n-m, m) of a pair give equal terms: the diagonal
     is supersymmetric, q_m and q_{n-m} supercommute for n != 0, and L_0 is
     normal ordered.  So each unordered pair is applied once, annihilation
-    first, with weight 1, and the diagonal m = n - m with weight 1/2: the sum
-    is taken with weights 2 and 1 and halved at the end, the one division.
-    No intermediate outweighs the larger of the monomial and the result.
-    An annihilation acting first takes a part (-m2, c) out with the factor
-    m2 w_u(c) of the contracted diagonal (contracted_kunneth); e_v
-    pairs with e_c only in the complementary degree, so it has c's parity.
+    first, with weight 1, and the diagonal m = n - m with weight 1/2: the
+    diagonal data are read times D/2 (halved_diagonal), and the pairs are
+    summed with weights 2 and 1, in ints.  Creations are fock.prepend_part
+    steps added straight into the image, and no intermediate outweighs the
+    larger of the monomial and the result.  An annihilation acting first takes
+    a part (-m2, c) out with the factor m2 w_u(c) of the contracted diagonal
+    (contracted_kunneth); e_v pairs with e_c only in the complementary
+    degree, so it has c's parity.  An annihilation acting second is one
+    fock.annihilate_into call per removed part, with the weights of that
+    part's row annihilated again (twice_contracted).
     """
     w = fock.weight(mono)
     acc = {}
     parities = algebra.parities
+    prepend, annihilate = fock.prepend_part, fock.annihilate_into
     for m2 in range(-w, n // 2 + 1):  # q_{m2} acts first, then q_{n-m2}
         m1 = n - m2
         if not m1 or not m2:
             continue
-        outer, size1 = _q_kernel(m1)
         scale = 1 if m1 == m2 else 2
-        if m2 > 0:
-            for u, v, t in algebra.kunneth_triples(color):
-                inner = {}
-                create_into(inner, m2, v, {mono: 1}, t, algebra)
-                if inner:
-                    outer(acc, size1, u, inner, scale, algebra)
+        if m2 > 0:  # then m1 >= m2 > 0
+            for u, v, t in algebra.halved_diagonal(color)[0]:
+                hit = prepend(mono, m2, v, algebra)
+                top = hit and prepend(hit[0], m1, u, algebra)
+                if top:
+                    acc[top[0]] = acc.get(top[0], 0) + scale * hit[1] * top[1] * t
             continue
-        contracted = algebra.contracted_kunneth(color)
-        inners = {}  # u -> the terms q_{m2} leaves for q_{m1}(e_u)
-        passed_odd = 0
+        contracted, passed_odd = algebra.halved_diagonal(color)[1], 0
         for j, (s, c) in enumerate(mono):
             if s == -m2 and contracted[c]:
-                sign = -m2 if parities[c] and passed_odd & 1 else m2
+                sign = scale * (-m2 if parities[c] and passed_odd & 1 else m2)
                 rest = mono[:j] + mono[j + 1:]
-                for u, wu in contracted[c]:
-                    axpy(inners.setdefault(u, {}), {rest: sign * wu})
+                if m1 < 0:
+                    annihilate(acc, ((rest, sign),), -m1,
+                               algebra.twice_contracted(color, c), m1, parities, {})
+                else:
+                    for u, wu in contracted[c]:
+                        top = prepend(rest, m1, u, algebra)
+                        if top is not None:
+                            acc[top[0]] = acc.get(top[0], 0) + sign * top[1] * wu
             passed_odd += parities[c]
-        for u, inner in inners.items():
-            outer(acc, size1, u, inner, scale, algebra)
-    return {m: c >> 1 if c.__class__ is int and not c & 1 else ratio(c, 2)
-            for m, c in acc.items()}
+    return {m: c for m, c in acc.items() if c}
 
 
 def virasoro(n, alpha):
     """The operator L_n(alpha): (1/2) sum_m q_m q_{n-m} over the diagonal of
     alpha for n != 0, and the normal-ordered sum_{m>0} q_m q_{-m} at n = 0.
 
-    On a weight-w vector only the window -w <= m <= n + w contributes.
+    On a weight-w vector only the window -w <= m <= n + w contributes.  The
+    images of D L_n are summed and divided by D once.
     """
     algebra = alpha.algebra
     keyed = tuple(((n, color), coeff) for color, coeff in alpha.coeffs.items())
 
     def fn(terms):
-        return extend(_virasoro_mono, algebra, keyed, terms)
+        return extend(_virasoro_mono, algebra, keyed, terms, algebra.table_scale)
 
     degree, parity = _grading(alpha, 2 * n)
     return LinearOperator(algebra, fn, n, degree, parity, f"L_{n}({alpha!r})")
@@ -265,30 +273,31 @@ def virasoro(n, alpha):
 
 @memo("d")
 def _boundary_mono(algebra, mono):
-    """d applied to one monomial, by recursion on the leading factor."""
+    """D d applied to one monomial, by recursion on the leading factor."""
     if not mono:
         return {}
     (size, color), rest = mono[0], mono[1:]
     rest_terms = {rest: 1}
-    # i * L_i(e_color) rest
+    # i * D L_i(e_color) rest
     acc = axpy({}, _virasoro_mono(algebra, size, color, rest), size)
-    # i(i-1)/2 * q_i(K * e_color) rest
+    # i(i-1)/2 * D q_i(K * e_color) rest
     if size > 1:
         k_alpha = mul(algebra.canonical_class, algebra.basis_element(color))
-        factor = size * (size - 1) // 2
+        factor = size * (size - 1) // 2 * algebra.table_scale
         for kc, kcoeff in k_alpha.coeffs.items():
-            create_into(acc, size, kc, rest_terms, factor * kcoeff, algebra)
-    # q_i(e_color) d(rest)
+            create_into(acc, size, kc, rest_terms, whole(factor * kcoeff), algebra)
+    # q_i(e_color) D d(rest)
     create_into(acc, size, color, _boundary_mono(algebra, rest), 1, algebra)
     return acc
 
 
 def boundary_d(algebra):
     """The boundary operator: cup product with -1/2 the boundary class,
-    realized through its creation-operator recursion.  Bidegree (0, 2)."""
+    realized through its creation-operator recursion.  Bidegree (0, 2).
+    The images of D d are summed and divided by D once."""
 
     def fn(terms):
-        return extend(_boundary_mono, algebra, (((), 1),), terms)
+        return extend(_boundary_mono, algebra, (((), 1),), terms, algebra.table_scale)
 
     return LinearOperator(algebra, fn, 0, 2, 0, "d")
 
@@ -513,8 +522,9 @@ def _check_instances(report, algebra, instances):
 
 
 def _pair(n, m, a, b):
-    """The label and params of the instance (n, m, a, b) of a pair suite."""
-    return f"n={n},m={m}", {"n": n, "m": m, "alpha": repr(a), "beta": repr(b)}
+    """The label and params of the instance (n, m, a, b) of a pair suite,
+    given the classes a and b as rendered, once per sweep."""
+    return f"n={n},m={m}", {"n": n, "m": m, "alpha": a, "beta": b}
 
 
 def _index_range(bound):
@@ -523,27 +533,21 @@ def _index_range(bound):
 
 class _Op:
     """One operator's rows: `table` holds those on every sweep monomial, and
-    `keys` the sweep monomials whose row is not empty.  `scale` times its
-    image is fn({mono: 1}); a creation q_n (fn None) prepends the parts (n,
-    color, int coefficient) of `parts`, and an annihilation q_{-size} takes
-    out a part (size, c) with the int weight weights[c] (_Rows.row)."""
+    `keys` the sweep monomials whose row is not empty.  Each row is `scale`
+    times the operator's image, in ints.  A creation q_n prepends the parts
+    (n, color, int coefficient) of `parts`, and an annihilation q_{-size}
+    takes out a part (size, c) with the int weight weights[c].  An op of L_n,
+    d or q_1^(k) sums the memo images worker(algebra, *key, mono), which
+    hold D^k times the operator (fock.memo), times the ints of `keyed`
+    (_Rows.row)."""
 
-    __slots__ = ("table", "keys", "fn", "scale", "parts", "size", "weights")
+    __slots__ = ("table", "keys", "scale", "worker", "keyed", "parts", "size",
+                 "weights")
 
-    def __init__(self, fn, scale, parts=None, size=None, weights=None):
-        self.fn, self.scale, self.parts = fn, scale, parts
-        self.size, self.weights = size, weights
-
-
-def _den(values):
-    return math.lcm(*(int(x.denominator) for x in values))
-
-
-def _whole(c):
-    """c as an int; ArithmeticError when it is not whole, so no row rounds."""
-    if c.__class__ is not int and c.denominator != 1:
-        raise ArithmeticError(f"row coefficient {c} is not whole")
-    return int(c)
+    def __init__(self, scale, worker=None, keyed=None, parts=None, size=None,
+                 weights=None):
+        self.scale, self.worker, self.keyed = scale, worker, keyed
+        self.parts, self.size, self.weights = parts, size, weights
 
 
 def _sign(p, r):
@@ -598,8 +602,8 @@ class _RowInstance(NamedTuple):
             s = ratio(self.take[1], kept_den)
         lhs, rhs = ([(w, ratio(c, math.prod([op.scale for op in w])))
                      for w, c in words if c] for words in (self.lhs, self.rhs))
-        den = _den([c for _, c in lhs + rhs] + [self.central, s])
-        s, central = _whole(s * den), _whole(self.central * den)
+        den = common_den([c for _, c in lhs + rhs] + [self.central, s])
+        s, central = whole(s * den), whole(self.central * den)
         firsts, n = [w[-1].keys for w, _ in lhs + rhs], len(monomials)
         keys = (range(n) if central or any(len(k) == n for k in firsts)
                 else sorted(set(taken).union(*firsts)))
@@ -608,8 +612,8 @@ class _RowInstance(NamedTuple):
             rows.kept[self.keep] = den, keep
         again = keep is None or rhs or central
         lhs = [(w[-1].table, w[-2:0:-1], w[0] if len(w) > 1 else None,
-                _whole(c * den)) for w, c in lhs]
-        rhs = [(w[0].table, _whole(c * den)) for w, c in rhs]
+                whole(c * den)) for w, c in lhs]
+        rhs = [(w[0].table, whole(c * den)) for w, c in rhs]
         row, ids, algebra = rows.row, rows.ids, rows.algebra
         prepend, annihilate = fock.prepend_part, fock.annihilate_into
         parities = algebra.parities
@@ -677,42 +681,51 @@ class _Rows:
     whose row is not empty; nothing above the sweep weight is kept, so the
     tables are bounded by the sweep weight.  Rows of a creation q_n come from
     fock.prepend_part, rows of an annihilation from fock.annihilate_into with
-    the op's int weights, and rows of L_n, d and q_1^(k) from the memo
-    images; a scan steps q ops above the sweep weight through the same two
-    kernels.  An op's fn never refers to the _Rows: a cycle through
-    `ops` would keep every row alive until a garbage collection.  `kept`
-    holds, per slot pair, the images a first instance keeps until its mirror
-    pops them (bracket).
+    the op's int weights, and rows of L_n, d and q_1^(k) from the int memo
+    images (D L_n, D d, D^k q_1^(k)) times the ints of the op's class, so the
+    op's scale is D^k times the class's denominator; a scan steps q ops above
+    the sweep weight through the same two kernels.  No op refers to the
+    _Rows: a cycle through `ops` would keep every row alive until a garbage
+    collection.  `kept` holds, per slot pair, the images a first instance
+    keeps until its mirror pops them (bracket).
     """
 
     def __init__(self, algebra, max_weight):
         self.algebra = algebra
         self.monomials = _basis_monomials_upto(algebra, max_weight)
         self.ids = {mono: k for k, mono in enumerate(self.monomials)}
-        self.pairing_den = _den(sum(algebra.pairing, []))
+        self.pairing_den = common_den(sum(algebra.pairing, []))
         self.ops, self.kept = {}, {}
 
     def op(self, make, index, alpha, factor=1):
-        """make(index, alpha) as an op whose scale is `factor` times the common
-        denominator of alpha, applied to alpha times that scale, with its
-        table filled; make is q, virasoro, q1_kth_bracket or _scaled_d.  A
-        creation q_n keeps the parts it prepends, and an annihilation its
-        weights, instead of an fn (row)."""
+        """The op of make at `index` on alpha, with its table filled; its
+        scale is `factor` times the common denominator of alpha, and alpha
+        times that denominator is made whole once.  make is q, whose
+        creations keep the parts they prepend and whose annihilations keep
+        their weights, or a memo worker whose table holds `factor` times its
+        operator: _virasoro_mono with D, _boundary_mono with D (index None,
+        alpha the unit), _q1k_mono with D^k.  Such an op keeps the worker,
+        which the caller looks up when the op is made, and its keys with the
+        ints of alpha (row)."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             _check_algebras(self, alpha)
-            scale = _den(alpha.coeffs.values()) * factor
-            scaled = {c: _whole(x * scale) for c, x in alpha.coeffs.items()}
+            den = common_den(alpha.coeffs.values())
+            ints = {c: whole(x * den) for c, x in alpha.coeffs.items()}
+            scale = den * factor
             if make is not q:
-                op = _Op(make(index, AlgebraElement(self.algebra, scaled)).fn, scale)
+                op = _Op(scale, make, tuple(
+                    (() if index is None else (index, c), x) for c, x in ints.items()))
             elif index > 0:
-                op = _Op(None, scale, tuple((index, c, x) for c, x in scaled.items()))
+                op = _Op(scale, parts=tuple((index, c, x * factor)
+                                            for c, x in ints.items()))
             else:
                 # w[c] = -size int(alpha e_c) scale, the coefficient of a part
                 # (size, c) that contract_into would give
                 pairing = self.algebra.pairing
-                op = _Op(None, scale, size=-index, weights=[
-                    _whole(index * sum(x * pairing[i][c] for i, x in scaled.items()))
+                op = _Op(scale, size=-index, weights=[
+                    whole(index * factor * sum(x * pairing[i][c]
+                                               for i, x in ints.items()))
                     for c in range(self.algebra.dim)])
             # row keys a creation by its monomial, which here may be a sweep one
             ids = self.ids
@@ -723,20 +736,13 @@ class _Rows:
             self.ops[key] = op
         return self.ops[key]
 
-    @functools.cached_property
-    def scale(self):
-        """An int D making D L_n(e_c), D d and D^k q_1^(k)(e_c) whole on basis
-        monomials: an L term carries 1/2, one Kunneth coefficient and at most
-        two pairing entries, and d adds the coefficients of K e_c."""
-        alg = self.algebra
-        kunneth = _den(t for c in range(alg.dim) for _, _, t in alg.kunneth_triples(c))
-        canonical = _den(k * x for i, k in alg.canonical_class.coeffs.items()
-                         for c in range(alg.dim) for x in alg.mul_basis(i, c).values())
-        return math.lcm(2 * kunneth * self.pairing_den ** 2, canonical)
-
     def q(self, n, alpha):
         """q_n(alpha); annihilations are scaled by the pairing's denominator."""
         return self.op(q, n, alpha, self.pairing_den if n < 0 else 1)
+
+    def virasoro(self, n, alpha):
+        """L_n(alpha), scaled by D as its memo table is."""
+        return self.op(_virasoro_mono, n, alpha, self.algebra.table_scale)
 
     def row(self, op, mono):
         """op's row on a monomial above the sweep weight.
@@ -745,18 +751,25 @@ class _Rows:
         a time.  The creations of distinct classes are distinct monomials, so
         they need no sum, and they stay above the sweep weight, so they are
         not looked up in `ids`.  A row of an annihilation is one
-        fock.annihilate_into call, and any other op's row is its fn's image.
+        fock.annihilate_into call.  A row of L_n, d or q_1^(k) sums the memo
+        images of its keys times their ints: every term is an int.
         """
-        ids = self.ids
-        if op.fn is not None:
-            return tuple([(ids.get(t, t), c if c.__class__ is int else _whole(c))
-                          for t, c in op.fn({mono: 1}).items()])
-        got = {}
+        ids, algebra, got = self.ids, self.algebra, {}
+        if op.worker is not None:
+            if len(op.keyed) == 1:  # one class: no sum, and no term cancels
+                (key, x), = op.keyed
+                return tuple([(ids.get(t, t), x * c)
+                              for t, c in op.worker(algebra, *key, mono).items()])
+            for key, x in op.keyed:
+                for t, c in op.worker(algebra, *key, mono).items():
+                    t = ids.get(t, t)
+                    got[t] = got.get(t, 0) + x * c
+            return tuple([(t, c) for t, c in got.items() if c])
         if op.weights is not None:
             fock.annihilate_into(got, ((mono, 1),), op.size, op.weights, 1,
-                                 self.algebra.parities, ids)
+                                 algebra.parities, ids)
         for size, color, c in op.parts or ():
-            hit = fock.prepend_part(mono, size, color, self.algebra)
+            hit = fock.prepend_part(mono, size, color, algebra)
             if hit is not None:
                 got[hit[0]] = c if hit[1] > 0 else -c
         return tuple(got.items())
@@ -787,63 +800,60 @@ class _Rows:
 
 
 def _slot_pairs(rows, ops, idx, classes):
-    """(n, m, a, b, [ops[n, i], ops[m, j]]) for a = classes[i], b = classes[j]
-    in sweep order, each product composed once (see _Rows.bracket)."""
+    """(n, m, a, b, pair, [ops[n, i], ops[m, j]]) for a = classes[i], b =
+    classes[j] in sweep order, pair their _pair, each product composed once
+    (see _Rows.bracket)."""
+    named = [(a, repr(a)) for a in classes]
     parities = [_grading(a, 0)[1] for a in classes]
     slots = itertools.product(range(len(classes)), repeat=2)
     for n, m, (i, j) in itertools.product(idx, idx, slots):
-        yield n, m, classes[i], classes[j], rows.bracket(
+        (a, ra), (b, rb) = named[i], named[j]
+        yield n, m, a, b, _pair(n, m, ra, rb), rows.bracket(
             ops[n, i], ops[m, j], _sign(parities[i], parities[j]), ((n, i), (m, j)))
 
 
 def _heisenberg(algebra, bound, classes, max_weight):
     rows, idx = _Rows(algebra, max_weight), _index_range(bound)
     ops = {(n, i): rows.q(n, a) for n in idx for i, a in enumerate(classes)}
-    for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
+    for n, m, a, b, pair, lhs in _slot_pairs(rows, ops, idx, classes):
         central = n * integral(mul(a, b)) if n + m == 0 else 0
-        yield rows.check(*_pair(n, m, a, b), lhs, (), central)
+        yield rows.check(*pair, lhs, (), central)
 
 
 def _lq(algebra, bound, classes, max_weight):
     rows, idx = _Rows(algebra, max_weight), range(-bound, bound + 1)
-    for n, m, a, b in itertools.product(idx, idx, classes, classes):
+    named = [(a, repr(a)) for a in classes]
+    for n, m, (a, ra), (b, rb) in itertools.product(idx, idx, named, named):
         if m:
-            lhs = rows.bracket(rows.op(virasoro, n, a, rows.scale), rows.q(m, b),
+            lhs = rows.bracket(rows.virasoro(n, a), rows.q(m, b),
                                _sign(_grading(a, 0)[1], _grading(b, 0)[1]))
-            yield rows.check(*_pair(n, m, a, b), lhs,
+            yield rows.check(*_pair(n, m, ra, rb), lhs,
                              ((-m, rows.q(n + m, mul(a, b))),))
 
 
 def _ll(algebra, bound, classes, max_weight):
     rows, idx = _Rows(algebra, max_weight), range(-bound, bound + 1)
-    ops = {(n, i): rows.op(virasoro, n, a, rows.scale)
-           for n in idx for i, a in enumerate(classes)}
-    for n, m, a, b, lhs in _slot_pairs(rows, ops, idx, classes):
+    ops = {(n, i): rows.virasoro(n, a) for n in idx for i, a in enumerate(classes)}
+    for n, m, a, b, pair, lhs in _slot_pairs(rows, ops, idx, classes):
         ab = mul(a, b)
         central = 0
         if n + m == 0:
             central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
-        rhs = ((n - m, rows.op(virasoro, n + m, ab, rows.scale)),) if n != m else ()
-        yield rows.check(*_pair(n, m, a, b), lhs, rhs, central)
-
-
-def _scaled_d(_, unit_multiple):
-    """d times the unit's coefficient in unit_multiple: d as a make of
-    _Rows.op, which calls it on the unit times the op's scale."""
-    return boundary_d(unit_multiple.algebra) * unit_multiple.coeffs[
-        unit_multiple.algebra.unit_index]
+        rhs = ((n - m, rows.virasoro(n + m, ab)),) if n != m else ()
+        yield rows.check(*pair, lhs, rhs, central)
 
 
 def _qprime(algebra, bound, classes, max_weight):
     rows = _Rows(algebra, max_weight)
-    d = rows.op(_scaled_d, None, algebra.unit(), rows.scale)
-    for n, a in itertools.product(_index_range(bound), classes):
+    d = rows.op(_boundary_mono, None, algebra.unit(), algebra.table_scale)
+    named = [(a, repr(a)) for a in classes]
+    for n, (a, ra) in itertools.product(_index_range(bound), named):
         k_scale = n * (abs(n) - 1) // 2
-        rhs = ((n, rows.op(virasoro, n, a, rows.scale)),)
+        rhs = ((n, rows.virasoro(n, a)),)
         if k_scale:
             rhs += ((k_scale, rows.q(n, mul(algebra.canonical_class, a))),)
         lhs = rows.bracket(d, rows.q(n, a), _sign(0, _grading(a, 0)[1]))
-        yield rows.check(f"n={n}", {"n": n, "alpha": repr(a)}, lhs, rhs)
+        yield rows.check(f"n={n}", {"n": n, "alpha": ra}, lhs, rhs)
 
 
 def _index_suite(instances, default_bound, even=False):
@@ -899,15 +909,15 @@ def _nested_bracket(algebra, max_weight):
     unit = algebra.unit()
     sample = [algebra.basis_element(c) for c in _sample_colors(
         algebra, (0, 1, 2, algebra.dim // 2, algebra.dim - 1))]
-    rows = _Rows(algebra, max_weight)
+    rows, named = _Rows(algebra, max_weight), [(a, repr(a)) for a in [unit] + sample]
     instances = []
     for k in range(4):
-        tuples = [(gamma, [unit] * (k + 1)) for gamma in [unit] + sample]
+        tuples = [(gamma, [unit] * (k + 1)) for gamma in named]
         if k >= 1 and algebra.dim > 4:
-            tuples.append((sample[1], [sample[2]] + [unit] * k))
+            tuples.append((named[2], [sample[2]] + [unit] * k))
         instances += [_nested_bracket_instance(k, gamma, alphas, rows,
-                                               {"k": k, "gamma": repr(gamma)})
-                      for gamma, alphas in tuples]
+                                               {"k": k, "gamma": name})
+                      for (gamma, name), alphas in tuples]
     return {"k": "<=3", "tuples": "unit + basis samples"}, instances
 
 

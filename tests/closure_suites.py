@@ -74,7 +74,7 @@ def fresh_algebra(name, integral_scale=1):
 
 
 def _pair_instance(n, m, a, b, lhs, rhs, central, monos):
-    return Instance(*_pair(n, m, a, b), lhs, rhs, central, monos)
+    return Instance(*_pair(n, m, repr(a), repr(b)), lhs, rhs, central, monos)
 
 
 def _heisenberg(alg, bound, classes, monos):

@@ -28,6 +28,13 @@ from fockcalc.fock import degree as mono_degree
 from fockcalc.fock import weight as mono_weight
 
 
+def _times_d(algebra, image):
+    """`image` times the memo tables' D (algebra.table_scale), in ints: the
+    form in which the L, d and q1k tables hold their images."""
+    from fockcalc._rat import whole
+    return {m: whole(algebra.table_scale * c) for m, c in image.items()}
+
+
 def basis_vectors(alg, max_weight):
     out = []
     for n in range(max_weight + 1):
@@ -170,8 +177,9 @@ def test_virasoro_matches_the_quadratic_definition(p2, torus):
     ("p2", Rat(2, 3), 3), ("torus_like", Rat(-1, 2), 2)))
 def test_virasoro_kernel_matches_the_triples(name, scale, max_weight):
     # the contracted kernel against the triple-by-triple loop it replaced, on
-    # every colour, n in -3..3 and monomial; the scaled torus_like stops at
-    # weight 2, since its weight 3 alone would take about 7 s
+    # every colour, n in -3..3 and monomial, as the table holds it: D times
+    # the loop's image; the scaled torus_like stops at weight 2, since its
+    # weight 3 alone would take about 7 s
     from closure_suites import fresh_algebra, triple_virasoro_mono
     from fockcalc.operators import _virasoro_mono
     alg = fresh_algebra(name, scale)
@@ -180,7 +188,8 @@ def test_virasoro_kernel_matches_the_triples(name, scale, max_weight):
         for n in range(-3, 4):
             for c in range(alg.dim):
                 assert (kernel(alg, n, c, mono)
-                        == triple_virasoro_mono(alg, n, c, mono)), (n, c, mono)
+                        == _times_d(alg, triple_virasoro_mono(alg, n, c, mono))), (
+                    n, c, mono)
 
 
 def test_contracted_kernel_reads_the_kunneth_triples():
@@ -196,9 +205,54 @@ def test_contracted_kernel_reads_the_kunneth_triples():
     for mono in (m for w in range(4) for m in monomial_basis(w, alg)):
         for n in range(-3, 4):
             got = _virasoro_mono(alg, n, 0, mono)
-            assert got == triple_virasoro_mono(alg, n, 0, mono), (n, mono)
+            want = _times_d(alg, triple_virasoro_mono(alg, n, 0, mono))
+            assert got == want, (n, mono)
             changed += got != _virasoro_mono(clean, n, 0, mono)
     assert changed
+
+
+@pytest.mark.parametrize("name, scale", (
+    ("p2", 1), ("p1xp1", 1), ("torus_like", 1), ("point", 1),
+    ("p2", Rat(2, 3)), ("torus_like", Rat(-1, 2)), ("p1xp1", Rat(5, 7))))
+def test_memo_tables_hold_ints_and_public_images_are_exact(name, scale):
+    # the calculus sweeps fill the L, d and q1k tables with D L_n, D d and
+    # D^k q_1^(k) in ints, rational pairings included (D is 490 on p1xp1 at
+    # 5/7); the public operators divide once, so q_1^(k) matches the k-fold
+    # derivative of q_1, which reads no q1k table, and L_n the triple loop,
+    # with whole coefficients as ints.  Colours are sampled past dim 4
+    from closure_suites import fresh_algebra, triple_virasoro_mono
+    from fockcalc.generators import q1_kth_bracket
+    alg = fresh_algebra(name, scale)
+    for suite in CALCULUS_SUITES:
+        index = {} if suite == "nested_bracket" else {"max_index": 1}
+        assert verify_relations(suite, alg, max_weight=2, **index).passed, suite
+    for kind in ("L", "d", "q1k"):
+        assert alg._op_caches[kind], kind
+        assert all(c.__class__ is int for image in alg._op_caches[kind].values()
+                   for c in image.values()), kind
+    colors = range(alg.dim) if alg.dim <= 4 else (0, 1, 5, alg.dim - 1)
+    classes = [alg.basis_element(c) for c in colors]
+    classes.append(sum(classes[1:], alg.basis_element(colors[0]).scale(Rat(1, 3))))
+    vectors = [FockVector(alg, {m: 1})
+               for w in range(3) for m in monomial_basis(w, alg)]
+    whole_seen = 0
+    for alpha in classes:
+        # a class of mixed parity has no derivative (supercommutator)
+        for k in range(1, 4) if q(1, alpha).parity is not None else ():
+            want, got = derivative(q(1, alpha), k), q1_kth_bracket(k, alpha)
+            assert all(got(v) == want(v) for v in vectors), (k, alpha)
+        for n, v in itertools.product(range(-2, 3), vectors):
+            (mono, _), = v.terms.items()
+            want = {}
+            for c, x in alpha.coeffs.items():
+                for m, y in triple_virasoro_mono(alg, n, c, mono).items():
+                    want[m] = want.get(m, 0) + x * y
+            got = virasoro(n, alpha)(v).terms
+            assert got == {m: y for m, y in want.items() if y}, (n, alpha, mono)
+            for y in got.values():
+                whole_seen += y.denominator == 1
+                assert y.__class__ is int or y.denominator != 1, (n, alpha, mono)
+    assert whole_seen
 
 
 # -- boundary operator --------------------------------------------------------------
@@ -535,7 +589,8 @@ def _order_central(monkeypatch, algebras):
 
 
 def _double_l_diagonal(monkeypatch, algebras):
-    # L_n with its diagonal term m = n - m weighted 2 in place of 1
+    # L_n with its diagonal term m = n - m weighted 2 in place of 1, times D
+    # as the L table holds it
     from closure_suites import triple_virasoro_mono
     from fockcalc import operators
     images = {}
@@ -543,7 +598,8 @@ def _double_l_diagonal(monkeypatch, algebras):
     def doubled(algebra, n, color, mono):
         key = (algebra.name, n, color, mono)
         if key not in images:
-            images[key] = triple_virasoro_mono(algebra, n, color, mono, diagonal=2)
+            images[key] = _times_d(algebra, triple_virasoro_mono(
+                algebra, n, color, mono, diagonal=2))
         return images[key]
 
     monkeypatch.setattr(operators, "_virasoro_mono", doubled)
@@ -552,7 +608,7 @@ def _double_l_diagonal(monkeypatch, algebras):
 def _shift_boundary_k(monkeypatch, algebras):
     # the K term of d on a leading part q_i(e_c) weighted i(i+1)/2 in place of
     # i(i-1)/2: the clean step, whose recursion on the rest reads the mutant,
-    # plus i q_i(K e_c) on the rest
+    # plus i q_i(K e_c) on the rest, times D as the d table holds it
     from fockcalc import generators, operators
     clean = operators._boundary_mono.__wrapped__
     images = {}
@@ -566,8 +622,8 @@ def _shift_boundary_k(monkeypatch, algebras):
                 k_alpha = operators.mul(algebra.canonical_class,
                                         algebra.basis_element(color))
                 for kc, kcoeff in k_alpha.coeffs.items():
-                    operators.create_into(acc, size, kc, {rest: 1}, size * kcoeff,
-                                          algebra)
+                    operators.create_into(acc, size, kc, {rest: 1},
+                                          size * kcoeff * algebra.table_scale, algebra)
             images[key] = acc
         return images[key]
 
@@ -879,14 +935,14 @@ def test_rows_are_exact_on_non_integral_algebras(monkeypatch, suite, name, scale
 
 
 def test_rows_refuse_a_coefficient_that_is_not_whole(monkeypatch):
-    # with the row scale forced to 1, images of L_n on p2 at int(h2) = 2/3 are
-    # not whole (L_2(1)|0> has the coefficient 3/4): a row raises, not rounds
+    # with the memo tables' D forced to 1, the Kunneth data that L_n reads
+    # times D/2 are not whole on p2 at int(h2) = 2/3 (nor on any algebra): the
+    # L table raises, not rounds
     from closure_suites import fresh_algebra
-    from fockcalc import operators
-    monkeypatch.setattr(operators._Rows, "scale", 1)
+    alg = fresh_algebra("p2", Rat(2, 3))
+    monkeypatch.setattr(alg, "table_scale", 1)
     with pytest.raises(ArithmeticError, match="not whole"):
-        verify_relations("LL", fresh_algebra("p2", Rat(2, 3)), max_weight=2,
-                         max_index=2)
+        verify_relations("LL", alg, max_weight=2, max_index=2)
 
 
 def test_row_discrepancies_match_the_closure_path(monkeypatch):
@@ -979,24 +1035,25 @@ def test_every_op_is_read_by_a_word(monkeypatch, p2):
     ("p2", Rat(2, 3), ("1", "h2", "3/4*h - 2*h2"))))
 def test_q_rows_match_the_operator_images(name, scale, texts):
     # rows of q_n, L_n, q_1^(k) and d against the operator on alpha times the
-    # op's scale, keyed through ids: the table on every sweep monomial
+    # op's scale (D^k times the class's denominator for the memo ops), keyed
+    # through ids: the table on every sweep monomial
     # (weight <= 1), and row on monomials of weight 2 and 3 above it, where
     # annihilations meet repeated equal parts and may land back in the sweep;
     # odd classes of torus_like bring Koszul signs, and p2 at int(h2) = 2/3 a
     # pairing with a denominator
     from closure_suites import fresh_algebra
-    from fockcalc.generators import q1_kth_bracket
-    from fockcalc.operators import _Rows, _scaled_d
+    from fockcalc.generators import _q1k_mono, q1_kth_bracket
+    from fockcalc.operators import _Rows, _boundary_mono
     alg = fresh_algebra(name, scale)
-    rows = _Rows(alg, 1)
+    rows, table_scale = _Rows(alg, 1), alg.table_scale
     above = [m for w in (2, 3) for m in monomial_basis(w, alg)]
-    d = rows.op(_scaled_d, None, alg.unit(), rows.scale)
+    d = rows.op(_boundary_mono, None, alg.unit(), table_scale)
     cases = [(d, boundary_d(alg) * d.scale)]
     for text in texts:
         alpha = parse_element(alg, text)
         ops = [(q, n, rows.q(n, alpha)) for n in (-2, -1, 1, 2)]
-        ops += [(virasoro, n, rows.op(virasoro, n, alpha, rows.scale)) for n in (-1, 0, 2)]
-        ops += [(q1_kth_bracket, k, rows.op(q1_kth_bracket, k, alpha, rows.scale ** k))
+        ops += [(virasoro, n, rows.virasoro(n, alpha)) for n in (-1, 0, 2)]
+        ops += [(q1_kth_bracket, k, rows.op(_q1k_mono, k, alpha, table_scale ** k))
                 for k in (1, 2)]
         cases += [(op, make(i, alpha.scale(op.scale))) for make, i, op in ops]
     for op, operator in cases:
