@@ -10,8 +10,8 @@ Weight of a monomial is the sum of part sizes (which Hilbert scheme it lives
 on); cohomological degree is sum(2*(size-1) + deg color).
 
 The operator workers share two helpers from here: extend makes a
-per-monomial image linear, and memo keeps those images in per-algebra tables
-that respect the weight cap.  Sums of {mono: c} terms go through
+per-monomial image linear, and memo keeps those images in the tables of one
+algebra at a time, under one weight cap.  Sums of {mono: c} terms go through
 _linalg.axpy.
 """
 
@@ -24,6 +24,8 @@ from .errors import InvalidPart, TruncationExceeded
 # Global cap on monomial weight: computations that climb past this raise
 # TruncationExceeded instead of silently dropping terms.
 _MAX_WEIGHT = 64
+# (the live algebra's memo tables, the cap they were filled under); see memo
+_LIVE = ({}, None)
 
 
 def max_weight():
@@ -144,19 +146,20 @@ def memo(kind):
     D d and D^k q_1^(k), all in ints, and k! D^k G_k; the public operators
     divide by that factor once (extend).
 
-    An algebra's tables are emptied whenever the weight cap differs from the
-    one they were filled under, so a warm table raises TruncationExceeded
-    exactly where a cold one would.  Images are shared: callers must not
-    mutate them.
+    A call under another algebra or cap than the live one's (_LIVE) first
+    empties the live tables, so one algebra holds images at a time, and a
+    warm table raises TruncationExceeded exactly where a cold one would.
+    Images are shared: callers must not mutate them.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def worker(algebra, *key):
+            global _LIVE
             tables = algebra._op_caches
-            if algebra._op_caches_cap != _MAX_WEIGHT:
-                tables.clear()
-                algebra._op_caches_cap = _MAX_WEIGHT
+            if tables is not _LIVE[0] or _LIVE[1] != _MAX_WEIGHT:
+                _LIVE[0].clear()
+                _LIVE = (tables, _MAX_WEIGHT)
             table = tables.get(kind)
             if table is None:
                 table = tables[kind] = {}

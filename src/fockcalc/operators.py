@@ -31,9 +31,10 @@ Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  With D = algebra.table_scale,
 the tables hold D L_n and D d, and generators' table D^k q_1^(k), all in
 ints, for every algebra: the public operators divide their summed image by
-that power of D once, and the rows multiply the images by ints.  An
-algebra's tables are emptied when the weight cap changes, so a warm table
-raises TruncationExceeded exactly where a cold one would.
+that power of D once, and the rows multiply the images by ints.  A memo
+call under another algebra or weight cap empties the live tables first, so
+one algebra holds images at a time and a warm table raises
+TruncationExceeded exactly where a cold one would.
 """
 
 import itertools
@@ -727,10 +728,10 @@ class _Rows:
                     whole(index * factor * sum(x * pairing[i][c]
                                                for i, x in ints.items()))
                     for c in range(self.algebra.dim)])
-            # row keys a creation by its monomial, which here may be a sweep one
-            ids = self.ids
-            op.table = [tuple([(ids.get(t, t), c) for t, c in self.row(op, mono)])
-                        for mono in self.monomials]
+            ids, op.table = self.ids, [self.row(op, m) for m in self.monomials]
+            if op.parts:  # row keys a creation by monomial, maybe a sweep one
+                op.table = [tuple([(ids.get(t, t), c) for t, c in row])
+                            for row in op.table]
             # the ints of ids, shared by every op's keys, not new ones per op
             op.keys = [k for k, row in zip(ids.values(), op.table) if row]
             self.ops[key] = op

@@ -9,8 +9,8 @@ Everything is exact rational arithmetic, int first (see _rat): on the
 shipped presets the product table, the integral, the pairing, the dual
 basis, the Kunneth triples and the Euler class are all ints.  Sparse sums
 go through _linalg.axpy.  Instances are immutable after loading; their
-operator memo tables only memoize pure computations and are emptied when the
-weight cap changes.
+operator memo tables only memoize pure computations, and only one algebra
+holds them at a time, under one weight cap (fock.memo).
 """
 
 import functools
@@ -101,10 +101,9 @@ class SurfaceAlgebra:
         self._diagonal_cache = {}
         # halved_diagonal by class, and twice_contracted by (class, row)
         self._halved_cache = {}
-        # {kind: {key: image}} memo tables of the operator workers, and the
-        # weight cap they were filled under (see fock.memo)
+        # {kind: {key: image}} memo tables of the operator workers; empty
+        # unless this algebra owns the live tables (see fock.memo)
         self._op_caches = {}
-        self._op_caches_cap = None
         self.euler = self._compute_euler()
 
     # -- basic queries ----------------------------------------------------

@@ -92,3 +92,42 @@ def test_virasoro_needs_no_cap_above_input_and_result(call, cap):
         assert call(v).terms == expected.terms
     finally:
         set_max_weight(previous)
+
+
+def exact_terms(v):
+    """The terms of v with the type of each coefficient, so an int and an
+    equal Fraction differ."""
+    return {m: (c.__class__, c) for m, c in v.terms.items()}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_call_on_another_algebra_empties_the_live_tables(name):
+    build, call, _ = CASES[name]
+    a, b = fresh_p2(), fresh_p2()
+    va = build(a)
+    call(va)
+    assert a._op_caches
+    call(build(b))
+    assert b._op_caches and not a._op_caches
+    # A -> B -> A gives what a fresh algebra gives
+    assert exact_terms(call(va)) == exact_terms(call(build(fresh_p2())))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lower_cap_after_another_algebra_raises_as_cold(name):
+    # A under the default cap, then B, then A under a cap its computation
+    # climbs past: A raises where a cold algebra does, and so does B, whose
+    # warm tables are live when the cap drops
+    build, call, cap = CASES[name]
+    a, b = fresh_p2(), fresh_p2()
+    va, vb, cold = build(a), build(b), build(fresh_p2())
+    call(va)
+    call(vb)
+    previous = set_max_weight(cap)
+    try:
+        for v in (vb, va, cold):
+            with pytest.raises(TruncationExceeded):
+                call(v)
+    finally:
+        set_max_weight(previous)
+    assert exact_terms(call(va)) == exact_terms(call(build(fresh_p2())))

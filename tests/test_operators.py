@@ -1029,6 +1029,33 @@ def test_every_op_is_read_by_a_word(monkeypatch, p2):
     assert made
 
 
+@pytest.mark.parametrize("fixture, max_weight", (("p2", 2), ("torus", 1)))
+def test_op_tables_key_every_sweep_monomial_by_its_index(monkeypatch, request,
+                                                         fixture, max_weight):
+    # _Rows.op maps only creation rows through ids, as row keys the others by
+    # it already: every table of a sweep equals its rows with each key mapped
+    from fockcalc import operators
+    alg, made = request.getfixturevalue(fixture), []
+
+    class Recorded(operators._Rows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(operators, "_Rows", Recorded)
+    even = alg.even_basis_elements()
+    for suite, kwargs in (("heisenberg", {"max_index": 2}), ("Lq", {"classes": even}),
+                          ("LL", {}), ("qprime", {}), ("nested_bracket", {})):
+        assert verify_relations(suite, alg, max_weight=max_weight, **kwargs).passed
+    assert len(made) == 5
+    for rows in made:
+        ids = rows.ids
+        assert rows.ops
+        for op in rows.ops.values():
+            assert op.table == [tuple([(ids.get(t, t), c) for t, c in rows.row(op, m)])
+                                for m in rows.monomials]
+
+
 @pytest.mark.parametrize("name, scale, texts", (
     ("p2", 1, ("1", "h", "h2", "3/4*h - 2*h2")),
     ("torus_like", 1, ("1", "x1", "x1x2", "x2x3x4", "1/2*x1 + 3*x3", "x1 - 2*x2")),
