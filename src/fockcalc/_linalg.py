@@ -6,12 +6,14 @@ the one sparse-vector type: algebra elements, Fock vectors and central
 elements inherit their linear arithmetic from it.  One routine serves
 every exact linear system of the package: `RowSpan` keeps a subspace in
 reduced row echelon form, and `solve` is a RowSpan of the augmented rows
-[A | B]; their vectors are dense lists of ints and Rats.  Each pivot
-is inverted through `ratio`, never as `1 / x`, which would turn an int pivot
-into a float.  The pivot of a row is its first nonzero coordinate, scanned in
-coordinate order; the reduced echelon form is unique, so every derived object
-(dual bases, Kunneth coefficients, adjoints, closure dimensions) is
-byte-stable across runs.
+[A | B]; their vectors are dense lists of ints and Rats, and each echelon
+row keeps its support, the list of its nonzero coordinates, so that a
+reduction touches only those.  Each pivot is inverted through `ratio`,
+never as `1 / x`, which would turn an int pivot into a float.  The pivot of
+a row is its first nonzero coordinate, scanned in coordinate order; the
+reduced echelon form is unique, so every derived object (dual bases,
+Kunneth coefficients, adjoints, closure dimensions) is byte-stable across
+runs.
 """
 
 from ._rat import exact, ratio
@@ -97,13 +99,16 @@ class RowSpan:
     Vectors are dense lists of ints and Rats of a fixed length.  `add`
     reduces the vector against the current rows and absorbs a new pivot if
     anything survives; the pivot scan order is the coordinate order, so
-    results are reproducible.
+    results are reproducible.  `supports[k]` lists the nonzero coordinates
+    of `rows[k]` in order: reducing by a row visits only its support, and
+    back-substituting a new row into the others only the new row's.
     """
 
     def __init__(self, length):
         self.length = length
         self.rows = []        # echelon rows, sorted by pivot column
         self.pivots = []      # pivot column of each row
+        self.supports = []    # nonzero columns of each row
 
     @property
     def dimension(self):
@@ -111,27 +116,32 @@ class RowSpan:
 
     def reduce(self, vec):
         vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
+        for row, piv, support in zip(self.rows, self.pivots, self.supports):
             f = vec[piv]
             if f:
-                for c in range(piv, self.length):
+                for c in support:
                     vec[c] -= f * row[c]
         return vec
 
     def add(self, vec):
         """Insert vec into the span; returns True when the dimension grew."""
         vec = self.reduce(vec)
-        piv = next((c for c in range(self.length) if vec[c]), None)
-        if piv is None:
+        support = [c for c in range(self.length) if vec[c]]
+        if not support:
             return False
+        piv = support[0]
         inv = ratio(1, vec[piv])
-        vec = [x * inv for x in vec]
-        for row in self.rows:
+        for c in support:
+            vec[c] *= inv
+        for k, row in enumerate(self.rows):
             f = row[piv]
             if f:
-                for c in range(piv, self.length):
+                for c in support:
                     row[c] -= f * vec[c]
+                self.supports[k] = [c for c in sorted({*self.supports[k], *support})
+                                    if row[c]]
         at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
         self.rows.insert(at, vec)
         self.pivots.insert(at, piv)
+        self.supports.insert(at, support)
         return True

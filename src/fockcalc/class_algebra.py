@@ -3,9 +3,10 @@
 Conjugacy-class sums C_lambda, indexed by partitions of n, form a basis of
 the center.  Structure constants come from the character table of S_n by the
 Frobenius formula, in exact integers: the Murnaghan-Nakayama rule gives the
-characters, and one pass over the table fills the whole row of the
-multiplication table for a lambda.  Tables and rows are memoized together
-in _ROW_CACHE; no permutation is ever enumerated.
+characters, and each product C_lam * C_mu is one column {nu: count}, summed
+over the table the first time it is read.  Tables, the weights of each lam
+and their columns are memoized together in _ROW_CACHE; no permutation is
+ever enumerated.
 
 This is the desk-scale shadow of the Fock picture: partitions mirror the
 colored monomials over the one-point algebra, and n minus the number of parts
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from ._rat import exact, signed_sum
-from ._linalg import RowSpan, SparseVector
+from ._linalg import RowSpan, SparseVector, axpy
 from .errors import CapExceeded
 
 DEFAULT_CAP = 9
@@ -114,34 +115,48 @@ def _character_table(n):
     return table
 
 
-def _product_row(lam, n):
-    """All products C_lam * C_mu at once: row[nu][mu] = structure constant.
+class _ProductRow(dict):
+    """The products C_lam * C_mu of one lam, as {mu: {nu: count}}.
 
     Frobenius: c = |C_lam||C_mu|/n! * sum_chi chi(lam)chi(mu)chi(nu)/chi(1),
-    summed in integers as chi(lam)chi(mu)chi(nu)*(n!/chi(1)) and divided by
+    summed in integers over `weights` = chi(lam)*(n!/chi(1)) and divided by
     (n!)^2 once; a remainder means a wrong table and raises ArithmeticError.
+    A column is summed the first time it is read: p(n) dot products of
+    length p(n), nonzero int counts only.
     """
-    key = (n, lam)
-    if key in _ROW_CACHE:
-        return _ROW_CACHE[key]
-    table = _character_table(n)
-    order = math.factorial(n)
-    weights = [x * (order // dim) for x, dim in zip(table[lam], table[(1,) * n])]
-    sizes = {mu: class_size(lam) * class_size(mu) for mu in table}
-    row = {}
-    for nu, col_nu in table.items():
-        w_nu = [w * x for w, x in zip(weights, col_nu)]
-        row[nu] = counts = {}
-        for mu, col_mu in table.items():
-            count, rem = divmod(sum(map(operator.mul, w_nu, col_mu)) * sizes[mu],
+
+    __slots__ = ("lam", "table", "order", "weights")
+
+    def __init__(self, lam, n):
+        super().__init__()
+        self.lam, self.table, self.order = lam, _character_table(n), math.factorial(n)
+        self.weights = [x * (self.order // dim)
+                        for x, dim in zip(self.table[lam], self.table[(1,) * n])]
+
+    def __missing__(self, mu):
+        table, order = self.table, self.order
+        w_mu = [w * x for w, x in zip(self.weights, table[mu])]
+        size = class_size(self.lam) * class_size(mu)
+        column = {}
+        for nu, chi_nu in table.items():
+            count, rem = divmod(sum(map(operator.mul, w_mu, chi_nu)) * size,
                                 order * order)
             if rem:
-                raise ArithmeticError(f"C{lam} * C{mu} on C{nu} is not an "
+                raise ArithmeticError(f"C{self.lam} * C{mu} on C{nu} is not an "
                                       f"integer: the character table is wrong")
             if count:
-                counts[mu] = count
-    _ROW_CACHE[key] = row
-    return row
+                column[nu] = count
+        self[mu] = column
+        return column
+
+
+def _product_row(lam, n):
+    """The cache slot of lam: a _ProductRow whose column row[mu] is
+    C_lam * C_mu as {nu: count}, filled in as products ask for them."""
+    key = (n, lam)
+    if key not in _ROW_CACHE:
+        _ROW_CACHE[key] = _ProductRow(lam, n)
+    return _ROW_CACHE[key]
 
 
 class CentralElement(SparseVector):
@@ -168,11 +183,8 @@ class CentralElement(SparseVector):
         acc = {}
         for lam, ca in self.coeffs.items():
             row = _product_row(lam, self.n)
-            for nu, by_mu in row.items():
-                for mu, count in by_mu.items():
-                    cb = other.coeffs.get(mu)
-                    if cb:
-                        acc[nu] = acc.get(nu, 0) + ca * cb * count
+            for mu, cb in other.coeffs.items():
+                axpy(acc, row[mu], ca * cb)
         return CentralElement(self.n, acc)
 
     def __repr__(self):
@@ -195,9 +207,7 @@ def class_product(lam, mu, n, cap=DEFAULT_CAP):
     _check_cap(n, cap)
     lam = check_partition(lam, n)
     mu = check_partition(mu, n)
-    row = _product_row(lam, n)
-    return CentralElement(n, {nu: by_mu[mu]
-                              for nu, by_mu in row.items() if mu in by_mu})
+    return CentralElement(n, _product_row(lam, n)[mu])
 
 
 def b_analog(i, n):
@@ -256,12 +266,8 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     report = GenerationReport(n=n, target=target)
 
     def max_fh():
-        best = 0
-        for row in span.rows:
-            for k, c in enumerate(row):
-                if c:
-                    best = max(best, fh_degree(parts[k]))
-        return best
+        return max((fh_degree(parts[k]) for support in span.supports for k in support),
+                   default=0)
 
     report.dim_trajectory.append(span.dimension)
     report.fh_profile.append(max_fh())

@@ -1,7 +1,9 @@
 """The benchmark's tracer hooks the engine by name (bench/spans.py): a traced
 worker must find every hook target, memo tables included, and read nonzero
-L, d and q_1^(k) table sizes.  A renamed target would turn its per-layer
-metrics into nulls without failing the run."""
+L, d and q_1^(k) table sizes, and nonzero calls of the S_n oracle's hooks
+(`_product_row`, `CentralElement.__mul__`, `RowSpan.add`).  A renamed or
+moved target would turn its per-layer metrics into nulls without failing
+the run."""
 
 import json
 import os
@@ -9,20 +11,43 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_traced_calculus_sweep_finds_every_hook():
+def traced_worker(workload, shard=0):
+    """The per-layer counts of one traced bench/worker.py round."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload",
-         "calculus_sweep", "--seed", "1", "--trace", "1"],
+         workload, "--seed", "1", "--trace", "1", "--shard", str(shard)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["failed"] == 0 and not result["errors"], result["errors"]
-    layers = result["layers"]
+    return result["layers"]
+
+
+def test_traced_calculus_sweep_finds_every_hook():
+    layers = traced_worker("calculus_sweep")
     assert layers["absent"] == []
     assert all(layers["tables"].get(kind) for kind in ("L", "d", "q1k")), layers["tables"]
+
+
+# workload: the S_n oracle hooks it must call
+ORACLE_HOOKS = {
+    "sn_closure": ("class_algebra.product_row", "class_algebra.central_mul",
+                   "linalg.rowspan_add"),
+    "cold_queries": ("class_algebra.product_row", "linalg.rowspan_add"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(ORACLE_HOOKS))
+def test_traced_oracle_workloads_call_every_hook(workload):
+    layers = traced_worker(workload)
+    assert layers["absent"] == []
+    calls = {hook: layers["stats"].get(hook, [0])[0] for hook in ORACLE_HOOKS[workload]}
+    assert all(calls.values()), calls

@@ -147,7 +147,13 @@ def test_product_rows_match_enumeration():
     cases = [(lam, n) for n in range(1, 8) for lam in partitions_of(n)]
     cases += [((i + 1,) + (1,) * (7 - i), 8) for i in range(8)]
     for lam, n in cases:
-        assert class_algebra._product_row(lam, n) == enumerated_product_row(lam, n), lam
+        # row[nu][mu] from the columns C_lam * C_mu = {nu: count}
+        columns = class_algebra._product_row(lam, n)
+        row = {nu: {} for nu in partitions_of(n)}
+        for mu in partitions_of(n):
+            for nu, count in columns[mu].items():
+                row[nu][mu] = count
+        assert row == enumerated_product_row(lam, n), lam
 
 
 def test_coefficients_stay_ints():
@@ -247,8 +253,10 @@ def test_corrupted_character_table_raises(monkeypatch):
     col = list(table[(3, 2)])
     col[1] += 1
     table[(3, 2)] = tuple(col)
+    row = class_algebra._product_row((3, 2), 5)
     with pytest.raises(ArithmeticError):
-        class_algebra._product_row((3, 2), 5)
+        for mu in partitions_of(5):
+            row[mu]
 
 
 # -- generation --------------------------------------------------------------------
@@ -369,7 +377,8 @@ def central_character_count(classes, n):
 
 
 # drop-two-cycle closure at n = 12 (trajectory [11, 66, 76, 76]) never fills
-# the span, so it multiplies every pair: about 45 s, too slow for this suite
+# the span, so it multiplies every pair: 9.5-12.5 s in-process (Python 3.11,
+# Fraction scalars, one core of a 2-vCPU VM), too slow for this suite
 CLOSED_FORM_RANGES = {"all": range(2, 13), "drop two-cycle": range(2, 12)}
 
 

@@ -1,11 +1,12 @@
-"""The one exact row reduction, `solve` against a Leibniz determinant, and
-the arithmetic that the sparse-vector types share through `SparseVector`."""
+"""The one exact row reduction, `solve` against a Leibniz determinant and
+`RowSpan` against the dense reduction, and the arithmetic that the
+sparse-vector types share through `SparseVector`."""
 
 import copy
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fockcalc import (
@@ -16,7 +17,8 @@ from fockcalc import (
     load_preset,
     mul,
 )
-from fockcalc._linalg import SparseVector, solve
+from fockcalc._linalg import RowSpan, SparseVector, solve
+from fockcalc._rat import ratio
 
 SCALARS = st.builds(lambda p, q: Rat(p, q), st.integers(-3, 3), st.integers(1, 3))
 
@@ -72,6 +74,74 @@ def test_solve_matches_the_determinant(system):
         for entry in x:
             assert isinstance(entry, int) == (entry == int(entry)), entry
             assert isinstance(entry, (int, Rat))
+
+
+class DenseRowSpan:
+    """RowSpan before it kept supports: every reduction and back-substitution
+    runs over all coordinates from the pivot on.  The reference."""
+
+    def __init__(self, length):
+        self.length = length
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec):
+        vec = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            f = vec[piv]
+            if f:
+                for c in range(piv, self.length):
+                    vec[c] -= f * row[c]
+        piv = next((c for c in range(self.length) if vec[c]), None)
+        if piv is None:
+            return False
+        inv = ratio(1, vec[piv])
+        vec = [x * inv for x in vec]
+        for row in self.rows:
+            f = row[piv]
+            if f:
+                for c in range(piv, self.length):
+                    row[c] -= f * vec[c]
+        at = next((k for k, p in enumerate(self.pivots) if p > piv), len(self.pivots))
+        self.rows.insert(at, vec)
+        self.pivots.insert(at, piv)
+        return True
+
+
+@st.composite
+def sparse_vectors(draw):
+    """A length and a list of mostly-zero vectors with int and Rat entries;
+    some are combinations of earlier ones, so `add` also sees dependent
+    vectors and rows whose later coordinates it must clear."""
+    length = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), SCALARS)
+    vecs = []
+    for _ in range(draw(st.integers(1, 10))):
+        if vecs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+            s, t = draw(SCALARS), draw(SCALARS)
+            vecs.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            vecs.append(draw(st.lists(entry, min_size=length, max_size=length)))
+    return length, vecs
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vectors())
+# the second vector's pivot is a nonzero later coordinate of the first row,
+# so adding it back-substitutes into that row
+@example((4, [[1, 2, 0, 3], [0, 1, Rat(1, 2), 0], [0, 0, 0, 5], [2, 5, 1, 6]]))
+def test_rowspan_matches_the_dense_reduction(case):
+    length, vecs = case
+    span, ref = RowSpan(length), DenseRowSpan(length)
+    for vec in vecs:
+        before = list(vec)
+        assert span.add(vec) == ref.add(vec)
+        assert vec == before
+        assert span.pivots == ref.pivots
+        assert span.rows == ref.rows
+        assert span.supports == [[c for c in range(length) if row[c]]
+                                 for row in span.rows]
 
 
 # -- the shared sparse-vector arithmetic -----------------------------------------
