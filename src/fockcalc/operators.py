@@ -5,7 +5,9 @@ only materialize for adjoint computations.  Built here:
 
   q(n, alpha)        creation (n > 0) / annihilation (n < 0)
   virasoro(n, alpha) the normal-ordered quadratic operator twisted by the
-                     Kunneth expansion of the diagonal
+                     diagonal: its Kunneth triples where two creations act,
+                     the product alpha e_c where an annihilation of e_c acts
+                     first, and int(alpha e_c e_p) where two annihilations act
   boundary_d         the derivation given on creations by
                      d(q_i(a) w) = (i L_i(a) + i(i-1)/2 q_i(K a)) w + q_i(a) dw
   derivative(f, k)   iterated bracket with d
@@ -213,11 +215,14 @@ def _virasoro_mono(algebra, n, color, mono):
     summed with weights 2 and 1, in ints.  Creations are fock.prepend_part
     steps added straight into the image, and no intermediate outweighs the
     larger of the monomial and the result.  An annihilation acting first takes
-    a part (-m2, c) out with the factor m2 w_u(c) of the contracted diagonal
-    (contracted_kunneth); e_v pairs with e_c only in the complementary
-    degree, so it has c's parity.  An annihilation acting second is one
-    fock.annihilate_into call per removed part, with the weights of that
-    part's row annihilated again (twice_contracted).
+    a part (-m2, c) out with the factor m2 w_u(c) of the diagonal contracted
+    on its right factor e_v against e_c; e_v pairs with e_c only in the
+    complementary degree, so it has c's parity, and by the projection formula
+    w_u(c) = (e_color e_c)_u, the product (halved_diagonal(color)[1]).  An
+    annihilation acting second is one fock.annihilate_into call per removed
+    part, with that row annihilated again: the weights int(e_color e_c e_p)
+    over p (halved_diagonal(color)[2]).  Only a pair of creations reads the
+    Kunneth triples.
     """
     w = fock.weight(mono)
     acc = {}
@@ -235,14 +240,14 @@ def _virasoro_mono(algebra, n, color, mono):
                 if top:
                     acc[top[0]] = acc.get(top[0], 0) + scale * hit[1] * top[1] * t
             continue
-        contracted, passed_odd = algebra.halved_diagonal(color)[1], 0
+        _, contracted, twice = algebra.halved_diagonal(color)
+        passed_odd = 0
         for j, (s, c) in enumerate(mono):
             if s == -m2 and contracted[c]:
                 sign = scale * (-m2 if parities[c] and passed_odd & 1 else m2)
                 rest = mono[:j] + mono[j + 1:]
                 if m1 < 0:
-                    annihilate(acc, ((rest, sign),), -m1,
-                               algebra.twice_contracted(color, c), m1, parities, {})
+                    annihilate(acc, ((rest, sign),), -m1, twice[c], m1, parities, {})
                 else:
                     for u, wu in contracted[c]:
                         top = prepend(rest, m1, u, algebra)

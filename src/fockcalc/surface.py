@@ -99,7 +99,7 @@ class SurfaceAlgebra:
         if self._dual_coeffs is None:
             raise SingularPairing(f"{name}: pairing matrix is singular")
         self._diagonal_cache = {}
-        # halved_diagonal by class, and twice_contracted by (class, row)
+        # halved_diagonal by class
         self._halved_cache = {}
         # {kind: {key: image}} memo tables of the operator workers; empty
         # unless this algebra owns the live tables (see fock.memo)
@@ -175,22 +175,13 @@ class SurfaceAlgebra:
             self._diagonal_cache[i] = tuple(sorted(triples))
         return self._diagonal_cache[i]
 
-    def contracted_kunneth(self, i):
-        """The diagonal of class i contracted on its right factor: row c lists
-        the nonzero (u, w_u(c)), w_u(c) = sum_v t_uv int(e_v e_c); L_n reads
-        it through halved_diagonal, which keeps it."""
-        rows = [{} for _ in range(self.dim)]
-        for u, v, t in self.kunneth_triples(i):
-            for c, p in enumerate(self.pairing[v]):
-                axpy(rows[c], {u: t * p})
-        return [tuple(row.items()) for row in rows]
-
     @functools.cached_property
     def table_scale(self):
         """The int D of the operator memo tables, 2 on every preset: D L_n(e_c),
         D d and D^k q_1^(k)(e_c) are whole on basis monomials.  An L term
-        carries 1/2, one Kunneth coefficient (dual-basis coefficients times
-        structure constants) and at most two pairing entries; d adds K e_c."""
+        carries 1/2 and either a Kunneth coefficient (dual-basis coefficients
+        times structure constants) or a structure constant and at most one
+        pairing entry; d adds K e_c."""
         product = common_den(x for row in self.product for cell in row.values()
                              for x in cell.values())
         dual = common_den(sum(self._dual_coeffs, []))
@@ -199,27 +190,25 @@ class SurfaceAlgebra:
         return math.lcm(2 * dual * product * pairing ** 2, canonical)
 
     def halved_diagonal(self, i):
-        """What L_n(e_i) reads of the diagonal, times D/2 (D = table_scale)
-        and made whole once: the Kunneth triples (u, v, t), and the rows of
-        contracted_kunneth(i)."""
+        """What L_n(e_i) reads of the diagonal tau(e_i), times D/2 (D =
+        table_scale), made whole once on first use:
+          the Kunneth triples (u, v, t), read where two creations act;
+          per class c, the product e_i e_c (mul_basis) as pairs (u, w_u):
+            by the projection formula, tau(e_i) contracted on its right
+            factor against e_c, read where an annihilation acts first;
+          per class c, the weights over p of that row paired with e_p,
+            int(e_i e_c e_p) through the pairing, read where two act."""
         if i not in self._halved_cache:
-            scale = self.table_scale
+            scale, pairing = self.table_scale, self.pairing
             half = scale >> 1 if not scale & 1 else ratio(scale, 2)
+            rows = [tuple([(u, whole(w * half)) for u, w in sorted(self.mul_basis(i, c).items())])
+                    for c in range(self.dim)]
             self._halved_cache[i] = (
                 tuple([(u, v, whole(t * half)) for u, v, t in self.kunneth_triples(i)]),
-                [tuple([(u, whole(w * half)) for u, w in row])
-                 for row in self.contracted_kunneth(i)])
+                rows,
+                [[whole(sum(w * pairing[u][p] for u, w in row)) for p in range(self.dim)]
+                 if row else [0] * self.dim for row in rows])
         return self._halved_cache[i]
-
-    def twice_contracted(self, i, c):
-        """Row c of halved_diagonal(i)'s contracted diagonal annihilated
-        again: the weights over p of D/2 sum_u w_u(c) int(e_u e_p), which
-        L_n reads where two annihilations act; built on first use."""
-        if (i, c) not in self._halved_cache:
-            row, pairing = self.halved_diagonal(i)[1][c], self.pairing
-            self._halved_cache[i, c] = [whole(sum(w * pairing[u][p] for u, w in row))
-                                        for p in range(self.dim)]
-        return self._halved_cache[i, c]
 
 
 # -- module-level operations (the public spellings) -------------------------

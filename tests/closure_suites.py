@@ -1,12 +1,12 @@
 """Reference paths for the row-composing relation suites.
 
 The engine checks the Heisenberg, Lq, LL, qprime and nested-bracket suites by
-composing int rows (operators._Rows), and applies L_n on a Kunneth diagonal
-contracted against the pairing.  This module keeps what they replaced, as
-sn_enumeration.py keeps the enumerated S_n rows:
+composing int rows (operators._Rows), and applies L_n with the contracted
+diagonal read off the product table.  This module keeps what they replaced,
+as sn_enumeration.py keeps the enumerated S_n rows:
 
 - triple_virasoro_mono: L_n(e_color) on one monomial, applied triple by
-  triple through the q kernels;
+  triple through the q kernels in every branch;
 - closure_record: a suite's Report.to_record() built from supercommutator,
   virasoro, q and derivative maps, in the suite's instance order, through the
   same check driver.

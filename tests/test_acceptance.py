@@ -54,7 +54,7 @@ def passline(k, text):
 
 
 def test_criterion_1_heisenberg_relations():
-    sweeps = (("p2", 6), ("p1xp1", 6), ("torus_like", 4))
+    sweeps = (("p2", 8), ("p1xp1", 8), ("torus_like", 4))
     total = 0
     for name, weight in sweeps:
         rep = verify_relations("heisenberg", load_preset(name),
@@ -62,7 +62,7 @@ def test_criterion_1_heisenberg_relations():
         assert rep.passed, rep.render_text()
         total += rep.checked
     passline(1, f"[q_n, q_m] = n delta int(ab) Id; |n|,|m|<=3, all basis "
-                f"pairs, {total} checks (p2/p1xp1 at weight 6, torus at 4)")
+                f"pairs, {total} checks (p2/p1xp1 at weight 8, torus at 4)")
 
 
 # -- 2. Virasoro relations and the central term -----------------------------------

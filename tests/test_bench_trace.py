@@ -1,6 +1,7 @@
 """The benchmark's tracer hooks the engine by name (bench/spans.py): a traced
 worker must find every hook target, memo tables included, and read nonzero
-L, d and q_1^(k) table sizes, and nonzero calls of the S_n oracle's hooks
+L, d and q_1^(k) table sizes, nonzero calls of fock.prepend_part in the
+Heisenberg sweep, and nonzero calls of the S_n oracle's hooks
 (`_product_row`, `CentralElement.__mul__`, `RowSpan.add`).  A renamed or
 moved target would turn its per-layer metrics into nulls without failing
 the run."""
@@ -35,6 +36,14 @@ def test_traced_calculus_sweep_finds_every_hook():
     layers = traced_worker("calculus_sweep")
     assert layers["absent"] == []
     assert all(layers["tables"].get(kind) for kind in ("L", "d", "q1k")), layers["tables"]
+
+
+def test_traced_heisenberg_sweep_calls_the_kernels():
+    # the last stdout line must be a result (traced_worker parses it), and the
+    # row scans step through fock.prepend_part
+    layers = traced_worker("heisenberg_sweep")
+    assert layers["absent"] == []
+    assert layers["stats"].get("fock.prepend_part", [0])[0], layers["stats"]
 
 
 # workload: the S_n oracle hooks it must call

@@ -24,6 +24,7 @@ from fockcalc import (
     verify_relations,
     virasoro,
 )
+from fockcalc._linalg import axpy
 from fockcalc.fock import degree as mono_degree
 from fockcalc.fock import weight as mono_weight
 
@@ -192,22 +193,29 @@ def test_virasoro_kernel_matches_the_triples(name, scale, max_weight):
                     n, c, mono)
 
 
-def test_contracted_kernel_reads_the_kunneth_triples():
-    # one Kunneth coefficient of the unit doubled before the first L call
-    # changes L as the triples say, so the contracted diagonal is summed from
-    # the triples, not rebuilt from the product
+def test_contracted_kernel_reads_the_kunneth_triples(monkeypatch):
+    # one Kunneth coefficient of the unit doubled before the first L call:
+    # only a pair of creations reads the triples, so every L_n with n <= 1,
+    # which has no such pair, keeps its image, and an L_n with n >= 2 changes
+    # by what triple_virasoro_mono changes with its annihilations switched off
+    import closure_suites
     from closure_suites import fresh_algebra, triple_virasoro_mono
-    from fockcalc.operators import _virasoro_mono
+    from fockcalc.operators import _q_kernel, _virasoro_mono
     clean, alg = fresh_algebra("p2"), fresh_algebra("p2")
     (u, v, t), *rest = alg.kunneth_triples(0)
     alg._diagonal_cache[0] = ((u, v, 2 * t), *rest)
+    monkeypatch.setattr(closure_suites, "_q_kernel", lambda n: _q_kernel(n) if n > 0
+                        else (lambda *args: None, -n))
     changed = 0
     for mono in (m for w in range(4) for m in monomial_basis(w, alg)):
         for n in range(-3, 4):
-            got = _virasoro_mono(alg, n, 0, mono)
-            want = _times_d(alg, triple_virasoro_mono(alg, n, 0, mono))
+            got, was = _virasoro_mono(alg, n, 0, mono), _virasoro_mono(clean, n, 0, mono)
+            creations = _times_d(alg, triple_virasoro_mono(alg, n, 0, mono))
+            clean_creations = _times_d(clean, triple_virasoro_mono(clean, n, 0, mono))
+            assert n >= 2 or creations == clean_creations == {}, (n, mono)
+            want = axpy(axpy(dict(was), creations), clean_creations, -1)
             assert got == want, (n, mono)
-            changed += got != _virasoro_mono(clean, n, 0, mono)
+            changed += got != was
     assert changed
 
 
@@ -536,8 +544,8 @@ def test_verify_relations_runs_on_one_thread(p2):
 
 def _flip_annihilation(monkeypatch, algebras):
     # every annihilation: the Koszul walk every q_{-n} runs (annihilate_into)
-    # and the contracted diagonal that L_n reads in place of an annihilation
-    # acting first
+    # and the product rows and their pairings that L_n reads in place of an
+    # annihilation acting first (halved_diagonal)
     from fockcalc import fock
     from fockcalc.surface import SurfaceAlgebra
     walk = fock.annihilate_into
@@ -545,10 +553,18 @@ def _flip_annihilation(monkeypatch, algebras):
     def flipped(acc, terms, size, weights, coeff, parities, ids):
         walk(acc, terms, size, weights, -coeff, parities, ids)
 
-    contracted = SurfaceAlgebra.contracted_kunneth
+    halved, negated_views = SurfaceAlgebra.halved_diagonal, {}
+
+    def negated(alg, i):
+        if (alg, i) not in negated_views:
+            triples, rows, twice = halved(alg, i)
+            negated_views[alg, i] = (
+                triples, [tuple((u, -w) for u, w in row) for row in rows],
+                [[-w for w in weights] for weights in twice])
+        return negated_views[alg, i]
+
     monkeypatch.setattr(fock, "annihilate_into", flipped)
-    monkeypatch.setattr(SurfaceAlgebra, "contracted_kunneth", lambda alg, i: [
-        tuple((u, -w) for u, w in row) for row in contracted(alg, i)])
+    monkeypatch.setattr(SurfaceAlgebra, "halved_diagonal", negated)
 
 
 def _drop_odd_passage(monkeypatch, algebras):
@@ -659,9 +675,9 @@ def _double_kunneth(monkeypatch, algebras):
 
 def _double_pairing(monkeypatch, algebras):
     # those entries of the pairing doubled after load: annihilations and the
-    # contracted diagonal read the doubled entries, while the integral (and
-    # so the Heisenberg central term), the dual basis and the diagonal built
-    # from it keep the loaded ones
+    # weights L reads where two annihilations act read the doubled entries,
+    # while the integral (and so the Heisenberg central term), the dual basis,
+    # the diagonal built from it and the product keep the loaded ones
     for alg, entries in _paired_entries(algebras):
         pairing = [row[:] for row in alg.pairing]
         for u, v in entries:
@@ -685,43 +701,46 @@ def _double_ll_central(monkeypatch, algebras):
 
 
 # mutant -> (patch, {column: the algebras on which it must be seen}), the same
-# as the closure path shows; a column is a suite, and "LL |n|<=2" is LL on p2
-# with |n|, |m| <= 2.  p2 cannot see the Koszul sign; the central-order mutant
-# is seen by the Heisenberg sweep only if the mirror instance (m, n, b, a)
-# computes its own central term m int(b a); no suite here pins K on p2, and
-# qprime reads K on both sides.  K is 0 on torus_like, so only p2 can see the
-# boundary K factor.  Only the Heisenberg sweep of torus_like sees the odd
-# passage sign: the calculus sweeps there run at weight 1 and give Lq and LL
-# even classes only.  Only the LL central term reads the Euler class, and its
-# factor n^3 - n vanishes at |n| <= 1, so only "LL |n|<=2" sees `euler` and
-# the doubled central term.  The diagonal is built from the dual basis made at
-# load, so a pairing entry changed after load makes the diagonal and the
-# contracted diagonal disagree, which qprime sees through L
+# as the closure path shows; a column is a suite, and "LL |n|<=2" is LL with
+# |n|, |m| <= 2 at weight 1, on p2 and on the even classes of torus_like.  p2
+# cannot see the Koszul sign; the central-order mutant is seen by the
+# Heisenberg sweep only if the mirror instance (m, n, b, a) computes its own
+# central term m int(b a); no suite here pins K on p2, and qprime reads K on
+# both sides.  K is 0 on torus_like, so only p2 can see the boundary K factor.
+# The other calculus sweeps of torus_like run at weight 1 with |n| <= 1 and
+# give Lq and LL even classes only, so of them only "LL |n|<=2", whose L_2
+# creates pairs of odd parts for the annihilations to pass, sees the odd
+# passage sign.  Only the LL central term reads the Euler class, and its factor
+# n^3 - n vanishes at |n| <= 1, so only "LL |n|<=2" sees `euler` and the
+# doubled central term (the Euler class of torus_like is 0).  Only a pair of
+# creations reads the Kunneth triples, and only an L_n with n >= 2 has one:
+# "LL |n|<=2", and qprime on p2 at weight 2, whose d reads L_2.  L reads the
+# pairing only where two annihilations act (int(e_i e_c e_p)); an
+# annihilation followed by a creation reads the product, so a pairing entry
+# changed after load reaches L through that branch no more
 HEISENBERG_MUTANTS = {
     "clean": (None, {}),
     "annihilation sign": (_flip_annihilation, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
         "LL": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like"),
-        "LL |n|<=2": ("p2",)}),
+        "LL |n|<=2": ("p2", "torus_like")}),
     "Koszul sign": (_drop_koszul, {
         "heisenberg": ("torus_like",), "qprime": ("torus_like",),
-        "nested_bracket": ("torus_like",)}),
+        "nested_bracket": ("torus_like",), "LL |n|<=2": ("torus_like",)}),
     "central order": (_order_central, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
-        "LL": ("p2", "torus_like"), "LL |n|<=2": ("p2",)}),
+        "LL": ("p2", "torus_like"), "LL |n|<=2": ("p2", "torus_like")}),
     "L diagonal weight": (_double_l_diagonal, {
-        "qprime": ("p2",), "LL |n|<=2": ("p2",)}),
+        "qprime": ("p2",), "LL |n|<=2": ("p2", "torus_like")}),
     "canonical class": (_shift_canonical, {"nested_bracket": ("torus_like",)}),
     "Kunneth coefficient": (_double_kunneth, {
-        "Lq": ("p2", "torus_like"), "LL": ("p2", "torus_like"),
-        "qprime": ("p2", "torus_like"), "nested_bracket": ("p2", "torus_like"),
-        "LL |n|<=2": ("p2",)}),
+        "qprime": ("p2",), "LL |n|<=2": ("p2", "torus_like")}),
     "pairing entry": (_double_pairing, {
         "heisenberg": ("p2", "torus_like"), "Lq": ("p2", "torus_like"),
-        "LL": ("p2", "torus_like"), "qprime": ("p2", "torus_like"),
-        "nested_bracket": ("p2", "torus_like"), "LL |n|<=2": ("p2",)}),
-    "euler": (_shift_euler, {"LL |n|<=2": ("p2",)}),
-    "odd passage sign": (_drop_odd_passage, {"heisenberg": ("torus_like",)}),
+        "qprime": ("p2",), "LL |n|<=2": ("p2", "torus_like")}),
+    "euler": (_shift_euler, {"LL |n|<=2": ("p2", "torus_like")}),
+    "odd passage sign": (_drop_odd_passage, {
+        "heisenberg": ("torus_like",), "LL |n|<=2": ("torus_like",)}),
     "boundary K factor": (_shift_boundary_k, {"qprime": ("p2",)}),
     "LL central term": (_double_ll_central, {"LL |n|<=2": ("p2",)}),
 }
@@ -753,7 +772,8 @@ def _calculus_sweeps(p2, torus):
              ("1", "x1", "x1x2", "x1x2x3", "1/2*x1 + 3*x3")]
     return ((p2, 2, 1, {"Lq": p2_classes, "LL": p2_classes, "qprime": p2_classes}),
             (torus, 1, 1, {"Lq": even, "LL": even, "qprime": mixed}),
-            (p2, 1, 2, {"LL |n|<=2": p2_classes}))
+            (p2, 1, 2, {"LL |n|<=2": p2_classes}),
+            (torus, 1, 2, {"LL |n|<=2": even}))
 
 
 def _row_and_closure_records(suite, alg, max_weight, max_index, classes):

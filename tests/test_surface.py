@@ -19,6 +19,7 @@ from fockcalc import (
     mul,
     parse_element,
 )
+from fockcalc._linalg import axpy
 from fockcalc._rat import parse_rat
 from fockcalc.surface import PRESETS, preset_path
 
@@ -182,19 +183,32 @@ def test_diagonal_p2_frozen(p2):
 
 def test_adjunction_identity_all_presets():
     # int((tau a)(b (x) c)) = int(a b c) with the Koszul product on the square,
-    # on the presets and on two scaled algebras: p2 at int(h2) = 2/3, whose
-    # dual basis has denominators, and torus_like with its integral times
-    # -1/2; and the projection formula: tau(e_i) contracted on its right
-    # factor against e_c is e_i e_c, the sign convention L reads
+    # on the presets and on three scaled algebras: p2 at int(h2) = 2/3, whose
+    # dual basis has denominators, torus_like with its integral times -1/2,
+    # and p1xp1 times 5/7; and the two contractions that L reads off the
+    # product table in place of the triples: tau(e_i) contracted on its right
+    # factor against e_c is e_i e_c (the projection formula, the sign
+    # convention L reads), sum_v t_uv int(e_v e_c) = (e_i e_c)_u, and that
+    # contracted again against e_p is sum_{u,v} t_uv int(e_v e_c) int(e_u e_p)
+    # = int(e_i e_c e_p)
     from closure_suites import fresh_algebra
     algebras = [load_preset(name) for name in PRESETS] + [
-        fresh_algebra("p2", Rat(2, 3)), fresh_algebra("torus_like", Rat(-1, 2))]
+        fresh_algebra("p2", Rat(2, 3)), fresh_algebra("torus_like", Rat(-1, 2)),
+        fresh_algebra("p1xp1", Rat(5, 7))]
     for alg in algebras:
         name = alg.name
         for i in range(alg.dim):
+            contracted = [{} for _ in range(alg.dim)]
+            for u, v, t in alg.kunneth_triples(i):
+                for c in range(alg.dim):
+                    axpy(contracted[c], {u: t * alg.pairing[v][c]})
             for c in range(alg.dim):
-                assert dict(alg.contracted_kunneth(i)[c]) == alg.mul_basis(i, c), (
-                    name, i, c)
+                assert contracted[c] == alg.mul_basis(i, c), (name, i, c)
+                product = mul(alg.basis_element(i), alg.basis_element(c))
+                for p in range(alg.dim):
+                    twice = sum(w * alg.pairing[u][p] for u, w in contracted[c].items())
+                    assert twice == integral(mul(product, alg.basis_element(p))), (
+                        name, i, c, p)
         for a_idx in range(alg.dim):
             a = alg.basis_element(a_idx)
             coeffs = expand_pairs(diagonal_pushforward(a), alg)
