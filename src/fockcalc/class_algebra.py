@@ -246,6 +246,10 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
     is the full center (dimension p(n)), which is what generated means.
     """
     _check_cap(n, cap)
+    generators = list(generators)
+    for elem in generators:
+        if elem.n != n:
+            raise ValueError(f"generator of rank {elem.n} in a closure of rank {n}")
     parts = partitions_of(n)
     index = {lam: k for k, lam in enumerate(parts)}
     target = len(parts)
@@ -260,7 +264,7 @@ def generation_closure(generators, n, cap=DEFAULT_CAP):
         return span.add(vec)
 
     identity = CentralElement.class_sum((1,) * n if n else (), n)
-    fresh = [elem for elem in [identity] + list(generators) if absorb(elem)]
+    fresh = [elem for elem in [identity] + generators if absorb(elem)]
     older = []
 
     report = GenerationReport(n=n, target=target)

@@ -33,10 +33,13 @@ def max_weight():
 
 
 def set_max_weight(n):
-    """Set the global weight cap; returns the previous value."""
+    """Set the global weight cap, an int >= 0; returns the previous value."""
     global _MAX_WEIGHT
-    prev = _MAX_WEIGHT
-    _MAX_WEIGHT = int(n)
+    if n.__class__ is not int:
+        raise TypeError(f"weight cap {n!r} is not an int")
+    if n < 0:
+        raise ValueError(f"weight cap {n} is negative")
+    prev, _MAX_WEIGHT = _MAX_WEIGHT, n
     return prev
 
 
@@ -224,11 +227,12 @@ def canonicalize(algebra, raw):
     expanded multilinearly over the basis and each monomial is reordered with
     the Koszul sign convention.
     """
+    raw = list(raw)
     for size, _ in raw:
         if size < 1:
             raise InvalidPart(f"part size {size} < 1")
     acc = {(): 1}
-    for size, elem in reversed(list(raw)):
+    for size, elem in reversed(raw):
         nxt = {}
         for color, coeff in elem.coeffs.items():
             create_into(nxt, size, color, acc, coeff, algebra)

@@ -20,12 +20,13 @@ one thread; verify_relations and nested_bracket_check both go through it.
 The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
 an identity in ints: a _RowInstance scans the sweep monomials in one pass,
 composing int rows of q, L_n, d and q_1^(k) (_Rows), and builds monomials
-only where a residual is nonzero.  An op's rows on every sweep monomial are
-tabled when the op is made, with the monomials whose row is not empty; a
-scan visits only those of its words' first ops.  Above the sweep weight, a
-q step is one kernel call into the scan's sums (fock.prepend_part per class
-of a creation, fock.annihilate_into for an annihilation), and a row of L_n, d
-or q_1^(k) is built from the memo images at each use.  The heisenberg and LL
+only where a residual is nonzero.  Each op applies through one kernel,
+chosen when the op is made: fock.prepend_part per class of a creation,
+fock.annihilate_into for an annihilation, and the memo images of L_n, d or
+q_1^(k) times the ints of the op's class.  Its rows on every sweep monomial
+are tabled then, with the monomials whose row is not empty; a scan visits
+only those of its words' first ops, and above the sweep weight each step is
+a kernel call adding into the scan's sums.  The heisenberg and LL
 sweeps compose each product once for an instance and its mirror.  The
 expansion suite applies the operators below per monomial (Instance).
 
@@ -540,20 +541,14 @@ def _index_range(bound):
 class _Op:
     """One operator's rows: `table` holds those on every sweep monomial, and
     `keys` the sweep monomials whose row is not empty.  Each row is `scale`
-    times the operator's image, in ints.  A creation q_n prepends the parts
-    (n, color, int coefficient) of `parts`, and an annihilation q_{-size}
-    takes out a part (size, c) with the int weight weights[c].  An op of L_n,
-    d or q_1^(k) sums the memo images worker(algebra, *key, mono), which
-    hold D^k times the operator (fock.memo), times the ints of `keyed`
-    (_Rows.row)."""
+    times the operator's image, in ints.  The op applies through its one
+    kernel, into(acc, mono, c), which adds c times its row on any monomial
+    into acc (_Rows.op)."""
 
-    __slots__ = ("table", "keys", "scale", "worker", "keyed", "parts", "size",
-                 "weights")
+    __slots__ = ("table", "keys", "scale", "into")
 
-    def __init__(self, scale, worker=None, keyed=None, parts=None, size=None,
-                 weights=None):
-        self.scale, self.worker, self.keyed = scale, worker, keyed
-        self.parts, self.size, self.weights = parts, size, weights
+    def __init__(self, scale, into):
+        self.scale, self.into = scale, into
 
 
 def _sign(p, r):
@@ -574,10 +569,9 @@ class _RowInstance(NamedTuple):
 
     The scan visits only the keys on which some word's first op has a row,
     and those a mirror takes, unless the central term is nonzero: on any
-    other key every image is 0.  Where the op a word applies last meets a
-    monomial above the sweep weight, a q takes one kernel call, adding
-    straight into the key's sums: fock.prepend_part per class of a creation,
-    fock.annihilate_into for an annihilation.  Any other op reads its row.
+    other key every image is 0.  Each step of a word reads a sweep
+    monomial's row off the op's table and passes any other monomial to the
+    op's kernel, which adds straight into the next step's sums.
     """
 
     label: object
@@ -620,41 +614,31 @@ class _RowInstance(NamedTuple):
         lhs = [(w[-1].table, w[-2:0:-1], w[0] if len(w) > 1 else None,
                 whole(c * den)) for w, c in lhs]
         rhs = [(w[0].table, whole(c * den)) for w, c in rhs]
-        row, ids, algebra = rows.row, rows.ids, rows.algebra
-        prepend, annihilate = fock.prepend_part, fock.annihilate_into
-        parities = algebra.parities
         for key in keys:
             acc = {}
             for table, middle, outer, coeff in lhs:
                 terms = table[key]
                 for op in middle:
-                    mid = {}
+                    mid, otable, into = {}, op.table, op.into
                     for k, c in terms:
-                        for t, d in op.table[k] if k.__class__ is int else row(op, k):
-                            mid[t] = mid.get(t, 0) + c * d
+                        if k.__class__ is int:
+                            for t, d in otable[k]:
+                                mid[t] = mid.get(t, 0) + c * d
+                        else:
+                            into(mid, k, c)
                     terms = [(t, c) for t, c in mid.items() if c]
                 if outer is None:
                     for t, c in terms:
                         acc[t] = acc.get(t, 0) + coeff * c
                     continue
-                otable, parts, weights = outer.table, outer.parts, outer.weights
+                otable, into = outer.table, outer.into
                 for t, c in terms:
                     c *= coeff
                     if t.__class__ is int:
                         for u, d in otable[t]:
                             acc[u] = acc.get(u, 0) + c * d
-                    elif weights is not None:
-                        annihilate(acc, ((t, c),), outer.size, weights, 1,
-                                   parities, ids)
-                    elif parts is not None:
-                        for size, color, d in parts:
-                            hit = prepend(t, size, color, algebra)
-                            if hit is not None:
-                                u = hit[0]
-                                acc[u] = acc.get(u, 0) + hit[1] * c * d
                     else:
-                        for u, d in row(outer, t):
-                            acc[u] = acc.get(u, 0) + c * d
+                        into(acc, t, c)
             if keep is not None:
                 diff = tuple([(t, c) for t, c in acc.items() if c])
                 if diff:
@@ -685,15 +669,11 @@ class _Rows:
     and any other by itself.  An op's table holds its rows on every sweep
     monomial from the moment it is made, and its keys the sweep monomials
     whose row is not empty; nothing above the sweep weight is kept, so the
-    tables are bounded by the sweep weight.  Rows of a creation q_n come from
-    fock.prepend_part, rows of an annihilation from fock.annihilate_into with
-    the op's int weights, and rows of L_n, d and q_1^(k) from the int memo
-    images (D L_n, D d, D^k q_1^(k)) times the ints of the op's class, so the
-    op's scale is D^k times the class's denominator; a scan steps q ops above
-    the sweep weight through the same two kernels.  No op refers to the
-    _Rows: a cycle through `ops` would keep every row alive until a garbage
-    collection.  `kept` holds, per slot pair, the images a first instance
-    keeps until its mirror pops them (bracket).
+    tables are bounded by the sweep weight.  Every row, tabled or not, comes
+    from the op's kernel (op).  No op or kernel refers to the _Rows: a cycle
+    through `ops` would keep every row alive until a garbage collection.
+    `kept` holds, per slot pair, the images a first instance keeps until its
+    mirror pops them (bracket).
     """
 
     def __init__(self, algebra, max_weight):
@@ -704,39 +684,53 @@ class _Rows:
         self.ops, self.kept = {}, {}
 
     def op(self, make, index, alpha, factor=1):
-        """The op of make at `index` on alpha, with its table filled; its
+        """The op of make at `index` on alpha, with its kernel and table; its
         scale is `factor` times the common denominator of alpha, and alpha
-        times that denominator is made whole once.  make is q, whose
-        creations keep the parts they prepend and whose annihilations keep
-        their weights, or a memo worker whose table holds `factor` times its
-        operator: _virasoro_mono with D, _boundary_mono with D (index None,
-        alpha the unit), _q1k_mono with D^k.  Such an op keeps the worker,
-        which the caller looks up when the op is made, and its keys with the
-        ints of alpha (row)."""
+        times that denominator is made whole once.  make is q or a memo
+        worker, as the caller looks it up now, whose table holds `factor`
+        times its operator: _virasoro_mono with D, _boundary_mono with D
+        (index None, alpha the unit), _q1k_mono with D^k.  The kernel of a
+        creation q_n prepends (n, c) per class c, an annihilation's is one
+        fock.annihilate_into walk, and a memo op's sums the worker's images
+        times the ints of alpha."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             _check_algebras(self, alpha)
             den = common_den(alpha.coeffs.values())
-            ints = {c: whole(x * den) for c, x in alpha.coeffs.items()}
-            scale = den * factor
+            ints = [(c, whole(x * den)) for c, x in alpha.coeffs.items()]
+            algebra, ids = self.algebra, self.ids
             if make is not q:
-                op = _Op(scale, make, tuple(
-                    (() if index is None else (index, c), x) for c, x in ints.items()))
+                keyed = tuple((() if index is None else (index, c), x) for c, x in ints)
+
+                def into(acc, mono, c):
+                    for args, x in keyed:
+                        x *= c
+                        for t, d in make(algebra, *args, mono).items():
+                            t = ids.get(t, t)
+                            acc[t] = acc.get(t, 0) + x * d
             elif index > 0:
-                op = _Op(scale, parts=tuple((index, c, x * factor)
-                                            for c, x in ints.items()))
+                parts, prepend = tuple((c, x * factor) for c, x in ints), fock.prepend_part
+
+                def into(acc, mono, c):
+                    for color, d in parts:
+                        hit = prepend(mono, index, color, algebra)
+                        if hit is not None:
+                            t = hit[0]
+                            acc[t] = acc.get(t, 0) + hit[1] * c * d
             else:
                 # w[c] = -size int(alpha e_c) scale, the coefficient of a part
                 # (size, c) that contract_into would give
-                pairing = self.algebra.pairing
-                op = _Op(scale, size=-index, weights=[
-                    whole(index * factor * sum(x * pairing[i][c]
-                                               for i, x in ints.items()))
-                    for c in range(self.algebra.dim)])
-            ids, op.table = self.ids, [self.row(op, m) for m in self.monomials]
-            if op.parts:  # row keys a creation by monomial, maybe a sweep one
-                op.table = [tuple([(ids.get(t, t), c) for t, c in row])
-                            for row in op.table]
+                pairing, parities = algebra.pairing, algebra.parities
+                weights = [whole(index * factor * sum(x * pairing[i][c] for i, x in ints))
+                           for c in range(algebra.dim)]
+                annihilate = fock.annihilate_into
+
+                def into(acc, mono, c):
+                    annihilate(acc, ((mono, c),), -index, weights, 1, parities, ids)
+            op = _Op(den * factor, into)
+            op.table = [self.row(op, m) for m in self.monomials]
+            if make is q and index > 0:  # keyed by monomial, maybe a sweep one
+                op.table = [tuple([(ids.get(t, t), c) for t, c in r]) for r in op.table]
             # the ints of ids, shared by every op's keys, not new ones per op
             op.keys = [k for k, row in zip(ids.values(), op.table) if row]
             self.ops[key] = op
@@ -751,34 +745,12 @@ class _Rows:
         return self.op(_virasoro_mono, n, alpha, self.algebra.table_scale)
 
     def row(self, op, mono):
-        """op's row on a monomial above the sweep weight.
-
-        A row of a creation q_n is built by fock.prepend_part, one class at
-        a time.  The creations of distinct classes are distinct monomials, so
-        they need no sum, and they stay above the sweep weight, so they are
-        not looked up in `ids`.  A row of an annihilation is one
-        fock.annihilate_into call.  A row of L_n, d or q_1^(k) sums the memo
-        images of its keys times their ints: every term is an int.
-        """
-        ids, algebra, got = self.ids, self.algebra, {}
-        if op.worker is not None:
-            if len(op.keyed) == 1:  # one class: no sum, and no term cancels
-                (key, x), = op.keyed
-                return tuple([(ids.get(t, t), x * c)
-                              for t, c in op.worker(algebra, *key, mono).items()])
-            for key, x in op.keyed:
-                for t, c in op.worker(algebra, *key, mono).items():
-                    t = ids.get(t, t)
-                    got[t] = got.get(t, 0) + x * c
-            return tuple([(t, c) for t, c in got.items() if c])
-        if op.weights is not None:
-            fock.annihilate_into(got, ((mono, 1),), op.size, op.weights, 1,
-                                 algebra.parities, ids)
-        for size, color, c in op.parts or ():
-            hit = fock.prepend_part(mono, size, color, algebra)
-            if hit is not None:
-                got[hit[0]] = c if hit[1] > 0 else -c
-        return tuple(got.items())
+        """op's row on a monomial: its kernel on an empty dict, as a tuple of
+        the nonzero (key, int) pairs.  A creation's terms are keyed by their
+        monomials, which are sweep ones only when mono is light enough."""
+        got = {}
+        op.into(got, mono, 1)
+        return tuple([(t, c) for t, c in got.items() if c])
 
     def bracket(self, f, g, sign, slots=None):
         """The left side (words, keep, take) of [f, g] = f g - sign g f.

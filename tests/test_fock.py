@@ -56,6 +56,15 @@ def test_canonicalize_multilinear(p2):
     assert combo == vec(p2, (2, 1)) + vec(p2, (2, 2)).scale(3)
 
 
+def test_canonicalize_reads_an_iterator_once(p2):
+    # the part-size check must not use up the factors the product reads
+    u = p2.unit()
+    (unit,) = u.coeffs
+    got = canonicalize(p2, ((1, u) for _ in range(2)))
+    assert got == canonicalize(p2, [(1, u)] * 2)
+    assert got.terms == {((1, unit), (1, unit)): 1}
+
+
 def brute_koszul_sign(parts, parities):
     """Independent sign oracle: bubble the list into canonical order, counting
     -1 for every adjacent swap of two odd factors."""

@@ -881,7 +881,8 @@ def test_annihilation_weights_on_rational_classes(monkeypatch, name, scale, suit
     # int(h2) = 2/3 gives the pairing a denominator, and the torus_like
     # classes are two-class single-parity combinations with the supports of
     # the benchmark: an annihilation's int weights w[c] = -n int(alpha e_c)
-    # times its scale, made whole once, against the closure path
+    # times its scale, made whole once, read off its row on q_n(e_c)|0> at the
+    # vacuum's index 0, against the closure path
     from closure_suites import closure_record, fresh_algebra
     from fockcalc.operators import Report, _Rows
     from fockcalc.surface import integral, mul
@@ -892,9 +893,10 @@ def test_annihilation_weights_on_rational_classes(monkeypatch, name, scale, suit
     for alpha, n in itertools.product(classes, (1, 2)):
         op = rows.q(-n, alpha)
         assert op.scale > 1
-        assert op.weights == [-n * integral(mul(alpha, alg.basis_element(c))) * op.scale
-                              for c in range(alg.dim)]
-        assert all(w.__class__ is int for w in op.weights)
+        weights = [dict(rows.row(op, ((n, c),))).get(0, 0) for c in range(alg.dim)]
+        assert weights == [-n * integral(mul(alpha, alg.basis_element(c))) * op.scale
+                           for c in range(alg.dim)]
+        assert all(w.__class__ is int for w in weights)
     got = verify_relations(suite, alg, max_weight=max_weight, max_index=max_index,
                            classes=classes).to_record()
     assert got == closure_record(suite, alg, max_weight, max_index, classes)
@@ -1113,3 +1115,14 @@ def test_q_rows_match_the_operator_images(name, scale, texts):
                 operator, mono)
             assert len(dict(got)) == len(got)
             assert all(c.__class__ is int for _, c in got)
+            # the kernel adds c times the row into a sum that already holds
+            # the row's keys, and c then -c leave only zero values
+            row = rows.row(op, mono)
+            seed = {0: 5, **{t: 7 for t, _ in row}}
+            acc, undone = dict(seed), {}
+            op.into(acc, mono, 3)
+            for c in (3, -3):
+                op.into(undone, mono, c)
+            added = {t: acc.get(t, 0) - seed.get(t, 0) for t in acc.keys() | seed.keys()}
+            assert ({t: d for t, d in added.items() if d} == {t: 3 * c for t, c in row}
+                    and not any(undone.values())), (operator, mono)

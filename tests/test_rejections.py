@@ -24,9 +24,9 @@ from fockcalc import (
     vacuum_unit,
     verify_relations,
 )
-from fockcalc.class_algebra import check_partition
+from fockcalc.class_algebra import CentralElement, check_partition, generation_closure
 from fockcalc.cli import main
-from fockcalc.fock import prepend_part
+from fockcalc.fock import max_weight, prepend_part, set_max_weight
 from fockcalc.surface import preset_path
 
 DELETE = object()
@@ -176,14 +176,25 @@ API_REJECTIONS = {
         lambda: check_partition((1, 2)), ValueError, "weakly decreasing"),
     "check_partition with the wrong total": (
         lambda: check_partition((2, 1), 4), ValueError, "not a partition of 4"),
+    "set_max_weight of a float": (
+        lambda: set_max_weight(2.5), TypeError, "not an int"),
+    "set_max_weight of a string": (
+        lambda: set_max_weight("3"), TypeError, "not an int"),
+    "set_max_weight of a negative cap": (
+        lambda: set_max_weight(-1), ValueError, "negative"),
+    "generation_closure with a generator of another rank": (
+        lambda: generation_closure([CentralElement.class_sum((2, 1))], 4), ValueError,
+        "rank 3 in a closure of rank 4"),
 }
 
 
 @pytest.mark.parametrize("case", list(API_REJECTIONS))
 def test_api_argument_rejections(case):
     action, error, match = API_REJECTIONS[case]
+    cap = max_weight()
     with pytest.raises(error, match=match):
         action()
+    assert max_weight() == cap
 
 
 def test_oracle_product_rejects_a_non_integer_part(capsys):
