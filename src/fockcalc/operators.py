@@ -17,18 +17,17 @@ plus exact adjoint matrices and the relation-verification suites.  Each
 suite is an entry of SUITES that lists its identity instances.  One driver
 (_check_instances) records each instance's nonzero residuals, in order and on
 one thread; verify_relations and nested_bracket_check both go through it.
-The heisenberg, Lq, LL, qprime and nested_bracket suites check both sides of
-an identity in ints: a _RowInstance scans the sweep monomials in one pass,
-composing int rows of q, L_n, d and q_1^(k) (_Rows), and builds monomials
-only where a residual is nonzero.  Each op applies through one kernel,
-chosen when the op is made: fock.prepend_part per class of a creation,
-fock.annihilate_into for an annihilation, and the memo images of L_n, d or
-q_1^(k) times the ints of the op's class.  Its rows on every sweep monomial
-are tabled then, with the monomials whose row is not empty; a scan visits
-only those of its words' first ops, and above the sweep weight each step is
-a kernel call adding into the scan's sums.  The heisenberg and LL
-sweeps compose each product once for an instance and its mirror.  The
-expansion suite applies the operators below per monomial (Instance).
+Every suite is a row scan: a _RowInstance scans the sweep monomials in one
+pass, composing the int rows of q, L_n, d and q_1^(k) and the exact ones of
+commutator_expand (_Rows), and builds monomials only where a residual is
+nonzero.  Each op applies through one kernel, chosen when the op is made:
+fock.prepend_part per class of a creation, fock.annihilate_into for an
+annihilation, and the memo images of L_n, d or q_1^(k) times the ints of
+the op's class.  Its rows on every sweep monomial are tabled then, with the
+monomials whose row is not empty; a scan visits only those of its words'
+first ops, and above the sweep weight each step is a kernel call adding
+into the scan's sums.  The heisenberg and LL sweeps compose each product
+once for an instance and its mirror.
 
 Applications of the Virasoro and boundary operators on basis monomials are
 memoized in per-algebra tables (fock.memo).  With D = algebra.table_scale,
@@ -470,57 +469,21 @@ class Report:
         return "\n".join(lines)
 
 
-class Instance(NamedTuple):
-    """One identity lhs(v) - sum(s * rhs(v)) - central * v = 0, checked on
-    every v in `monomials`, one monomial at a time.
-
-    `lhs` and the maps in `rhs` (pairs (s, map)) take {mono: c} terms and
-    return a fresh dict, as LinearOperator.fn does.  Checks are counted under
-    `label` in Report.instance_counts, or only in Report.checked when the
-    label is None; `params` go with each discrepancy.
-    """
-
-    label: object
-    params: dict
-    lhs: object
-    rhs: tuple
-    central: object
-    monomials: list
-
-    def residuals(self):
-        """(v, residual) for each v in `monomials`, in order, whose residual
-        is nonzero; a residual is a {mono: c} dict."""
-        for mono in self.monomials:
-            terms = {mono: 1}
-            diff = self.lhs(terms)
-            for scale, op in self.rhs:
-                axpy(diff, op(terms), -scale)
-            if self.central:
-                axpy(diff, {mono: -self.central})
-            if diff:
-                yield mono, diff
-
-
-def _basis_monomials_upto(algebra, max_weight):
-    out = []
-    for n in range(max_weight + 1):
-        out.extend(fock.monomial_basis(n, algebra))
-    return out
-
-
 def _check_instances(report, algebra, instances):
     """Check every instance and fill `report`.
 
-    Each Instance or _RowInstance hands over its nonzero residuals in
-    monomial order, so discrepancies are recorded in instance order, then
-    monomial order.  Instances are made and checked one at a time, as the
-    mirrors of _Rows.bracket need.  A sweep that checks nothing proves
-    nothing: it raises ValueError instead of passing."""
+    Each instance hands over its nonzero residuals in monomial order, so
+    discrepancies are recorded in instance order, then monomial order; its
+    checks are the sweep monomials its `keys` name (all of them when None).
+    Instances are made and checked one at a time, as the mirrors of
+    _Rows.bracket need.  A sweep that checks nothing proves nothing: it
+    raises ValueError instead of passing."""
     start = time.perf_counter()
     for instance in instances:
         for mono, diff in instance.residuals():
             report.record(instance.params, algebra, mono, diff)
-        report.count_instance(instance.label, len(instance.monomials))
+        keys = instance.rows.monomials if instance.keys is None else instance.keys
+        report.count_instance(instance.label, len(keys))
     if not report.checked:
         raise ValueError(f"{report.suite} on {report.algebra} checked nothing "
                          f"with {report.params} at weight {report.truncation}")
@@ -539,16 +502,23 @@ def _index_range(bound):
 
 
 class _Op:
-    """One operator's rows: `table` holds those on every sweep monomial, and
-    `keys` the sweep monomials whose row is not empty.  Each row is `scale`
-    times the operator's image, in ints.  The op applies through its one
-    kernel, into(acc, mono, c), which adds c times its row on any monomial
-    into acc (_Rows.op)."""
+    """One operator's rows: `table` holds those on every sweep monomial of
+    the _Rows it is made for, and `keys` the sweep monomials whose row is not
+    empty.  Each row is `scale` times the operator's image, in ints for every
+    op of _Rows.op.  The op applies through its one kernel, into(acc, mono,
+    c), which adds c times its row on any monomial into acc.  A kernel that
+    keys its terms by their monomials, as a creation's does, is marked
+    `by_monomial`, and its table is keyed through ids."""
 
     __slots__ = ("table", "keys", "scale", "into")
 
-    def __init__(self, scale, into):
-        self.scale, self.into = scale, into
+    def __init__(self, rows, scale, into, by_monomial=False):
+        self.scale, self.into, ids = scale, into, rows.ids
+        self.table = [rows.row(self, m) for m in rows.monomials]
+        if by_monomial:
+            self.table = [tuple([(ids.get(t, t), c) for t, c in r]) for r in self.table]
+        # the ints of ids, shared by every op's keys, not new ones per op
+        self.keys = [k for k, row in zip(ids.values(), self.table) if row]
 
 
 def _sign(p, r):
@@ -559,19 +529,21 @@ def _sign(p, r):
 
 
 class _RowInstance(NamedTuple):
-    """An identity sum(c * word(v)) - central * v = 0, checked on every sweep
-    monomial v of `rows` in one scan.
+    """An identity sum(c * word(v)) - central * v = 0, checked in one scan
+    on the sweep monomials v of `rows` whose indices `keys` lists, or on
+    every one when `keys` is None.
 
     A word is a tuple of ops of `rows`, its last op acting first; `lhs` and
     `rhs` hold (word, c) pairs, c the identity's exact coefficient of the
     word.  `keep` and `take` hand the images of `lhs` from the first instance
     of a slot pair to its mirror (_Rows.bracket).
 
-    The scan visits only the keys on which some word's first op has a row,
-    and those a mirror takes, unless the central term is nonzero: on any
-    other key every image is 0.  Each step of a word reads a sweep
-    monomial's row off the op's table and passes any other monomial to the
-    op's kernel, which adds straight into the next step's sums.
+    Of the checked keys, the scan visits only those on which some word's
+    first op has a row, and those a mirror takes, unless the central term
+    is nonzero: on any other key every image is 0.  Each step of a word
+    reads a sweep monomial's row off the op's table and passes any other
+    monomial to the op's kernel, which adds straight into the next step's
+    sums.
     """
 
     label: object
@@ -582,13 +554,14 @@ class _RowInstance(NamedTuple):
     take: object
     rhs: tuple
     central: object
-    monomials: list
+    keys: object
 
     def residuals(self):
-        """(v, residual) for each sweep monomial v, in order, on which the
-        identity fails.
+        """(v, residual) for each checked sweep monomial v, in order, on
+        which the identity fails.
 
-        Each key is checked in ints.  A word's rows are its ops' images times
+        Each key is checked in ints where the rows are ints, as all but the
+        expansion suite's are.  A word's rows are its ops' images times
         their scales, so c is first divided by the product of those scales;
         the words are then composed with that times M, the least common
         multiple of the identity's denominators, and M times the central term
@@ -596,7 +569,7 @@ class _RowInstance(NamedTuple):
         monomial and its residual, divided by M, are built only where a
         coefficient is left.
         """
-        rows, monomials, taken, s = self.rows, self.monomials, {}, 0
+        rows, monomials, taken, s = self.rows, self.rows.monomials, {}, 0
         if self.take is not None:
             kept_den, taken = rows.kept.pop(self.take[0])
             s = ratio(self.take[1], kept_den)
@@ -605,8 +578,10 @@ class _RowInstance(NamedTuple):
         den = common_den([c for _, c in lhs + rhs] + [self.central, s])
         s, central = whole(s * den), whole(self.central * den)
         firsts, n = [w[-1].keys for w, _ in lhs + rhs], len(monomials)
-        keys = (range(n) if central or any(len(k) == n for k in firsts)
-                else sorted(set(taken).union(*firsts)))
+        keys = range(n) if self.keys is None else self.keys
+        if not central and all(len(k) < n for k in firsts):
+            hit = set(taken).union(*firsts)
+            keys = sorted(hit if self.keys is None else hit.intersection(keys))
         keep = None if self.keep is None else {}
         if keep is not None:
             rows.kept[self.keep] = den, keep
@@ -659,26 +634,28 @@ class _RowInstance(NamedTuple):
 
 
 class _Rows:
-    """One sweep's operators as int rows, composed into words by the scan of
-    each _RowInstance of the sweep.
+    """One sweep's operators as rows, composed into words by the scan of each
+    _RowInstance of the sweep.
 
     `monomials` is every basis monomial of weight <= max_weight, and _Rows
     builds it itself: so a creation on a monomial above that weight stays
     above it.  The row of an op on a monomial is its scaled image as a tuple
-    of (key, int) pairs, a sweep monomial keyed by its index in `monomials`
+    of (key, c) pairs, a sweep monomial keyed by its index in `monomials`
     and any other by itself.  An op's table holds its rows on every sweep
-    monomial from the moment it is made, and its keys the sweep monomials
-    whose row is not empty; nothing above the sweep weight is kept, so the
-    tables are bounded by the sweep weight.  Every row, tabled or not, comes
-    from the op's kernel (op).  No op or kernel refers to the _Rows: a cycle
-    through `ops` would keep every row alive until a garbage collection.
+    monomial from the moment it is made (_Op), and its keys the sweep
+    monomials whose row is not empty; nothing above the sweep weight is
+    kept, so the tables are bounded by the sweep weight.  Every row, tabled
+    or not, comes from the op's kernel.  No op or kernel refers to the
+    _Rows: a cycle through `ops` would keep every row alive until a garbage
+    collection.
     `kept` holds, per slot pair, the images a first instance keeps until its
     mirror pops them (bracket).
     """
 
     def __init__(self, algebra, max_weight):
         self.algebra = algebra
-        self.monomials = _basis_monomials_upto(algebra, max_weight)
+        self.monomials = [mono for n in range(max_weight + 1)
+                          for mono in fock.monomial_basis(n, algebra)]
         self.ids = {mono: k for k, mono in enumerate(self.monomials)}
         self.pairing_den = common_den(sum(algebra.pairing, []))
         self.ops, self.kept = {}, {}
@@ -727,13 +704,7 @@ class _Rows:
 
                 def into(acc, mono, c):
                     annihilate(acc, ((mono, c),), -index, weights, 1, parities, ids)
-            op = _Op(den * factor, into)
-            op.table = [self.row(op, m) for m in self.monomials]
-            if make is q and index > 0:  # keyed by monomial, maybe a sweep one
-                op.table = [tuple([(ids.get(t, t), c) for t, c in r]) for r in op.table]
-            # the ints of ids, shared by every op's keys, not new ones per op
-            op.keys = [k for k, row in zip(ids.values(), op.table) if row]
-            self.ops[key] = op
+            self.ops[key] = _Op(self, den * factor, into, make is q and index > 0)
         return self.ops[key]
 
     def q(self, n, alpha):
@@ -746,7 +717,7 @@ class _Rows:
 
     def row(self, op, mono):
         """op's row on a monomial: its kernel on an empty dict, as a tuple of
-        the nonzero (key, int) pairs.  A creation's terms are keyed by their
+        the nonzero (key, c) pairs.  A creation's terms are keyed by their
         monomials, which are sweep ones only when mono is light enough."""
         got = {}
         op.into(got, mono, 1)
@@ -769,12 +740,12 @@ class _Rows:
             return (), None, ((second, first), -sign)
         return (((f, g), 1), ((g, f), -sign)), slots, None
 
-    def check(self, label, params, left, rhs=(), central=0):
+    def check(self, label, params, left, rhs=(), central=0, keys=None):
         """The _RowInstance of left - sum(s * op) - central Id over the (s, op)
-        pairs of `rhs`; `left` is a bracket or (words, None, None)."""
+        pairs of `rhs`, checked on the sweep monomials of index in `keys`
+        (all of them when None); `left` is a bracket or (words, None, None)."""
         return _RowInstance(label, params, self, *left,
-                            tuple(((op,), -s) for s, op in rhs),
-                            central, self.monomials)
+                            tuple(((op,), -s) for s, op in rhs), central, keys)
 
 
 def _slot_pairs(rows, ops, idx, classes):
@@ -858,27 +829,31 @@ def _sample_colors(algebra, picks):
 
 
 def _expansion(algebra, max_weight):
+    """For each g, its op on the right and, per a <= 3, an op of scale 1 on
+    the left whose kernel adds commutator_expand(g, a, v), one bracket
+    oracle per g, on the monomials v with at least a parts, which alone are
+    checked.  Those rows are never made whole, so a wrong expansion is a
+    discrepancy."""
     # generators imports this module, so it is imported at call time
-    from .generators import commutator_expand
+    from .generators import commutator_expand, default_bracket_oracle
 
-    colors = _sample_colors(algebra, (0, 1, algebra.dim // 2, algebra.dim - 1))
-    ops = [q(2, algebra.basis_element(c)) for c in colors]
-    ops += [virasoro(1, algebra.basis_element(c)) for c in colors]
-    ops += [virasoro(0, algebra.unit()), boundary_d(algebra)]
-    monomials = _basis_monomials_upto(algebra, max_weight)
-    instances = []
-    for g in ops:
+    rows, unit = _Rows(algebra, max_weight), algebra.unit()
+    sample = [algebra.basis_element(c) for c in
+              _sample_colors(algebra, (0, 1, algebra.dim // 2, algebra.dim - 1))]
+    gs = [(q(2, e), rows.q(2, e)) for e in sample]
+    gs += [(virasoro(1, e), rows.virasoro(1, e)) for e in sample]
+    gs += [(virasoro(0, unit), rows.virasoro(0, unit)), (boundary_d(algebra), rows.op(
+        _boundary_mono, None, unit, algebra.table_scale))]
+    for g, right in gs:
+        oracle = default_bracket_oracle(g)
         for a in (1, 2, 3):
-            def expanded(terms, g=g, a=a):
-                acc = {}
-                for mono, c in terms.items():
-                    axpy(acc, commutator_expand(g, a, mono).terms, c)
-                return acc
+            def into(acc, mono, c, g=g, a=a, oracle=oracle):
+                if len(mono) >= a:
+                    axpy(acc, commutator_expand(g, a, mono, oracle).terms, c)
 
-            instances.append(Instance(None, {"g": g.name, "a": a}, expanded,
-                                      ((1, g.fn),), 0,
-                                      [v for v in monomials if len(v) >= a]))
-    return {"operators": "q_2, L_1, L_0(1), d", "a": "<=3"}, instances
+            left = ((((_Op(rows, 1, into, True),), 1),), None, None)
+            yield rows.check(None, {"g": g.name, "a": a}, left, ((1, right),), 0,
+                             [k for k, v in enumerate(rows.monomials) if len(v) >= a])
 
 
 def _nested_bracket(algebra, max_weight):
@@ -888,21 +863,21 @@ def _nested_bracket(algebra, max_weight):
     sample = [algebra.basis_element(c) for c in _sample_colors(
         algebra, (0, 1, 2, algebra.dim // 2, algebra.dim - 1))]
     rows, named = _Rows(algebra, max_weight), [(a, repr(a)) for a in [unit] + sample]
-    instances = []
     for k in range(4):
         tuples = [(gamma, [unit] * (k + 1)) for gamma in named]
         if k >= 1 and algebra.dim > 4:
             tuples.append((named[2], [sample[2]] + [unit] * k))
-        instances += [_nested_bracket_instance(k, gamma, alphas, rows,
-                                               {"k": k, "gamma": name})
-                      for (gamma, name), alphas in tuples]
-    return {"k": "<=3", "tuples": "unit + basis samples"}, instances
+        for (gamma, name), alphas in tuples:
+            yield _nested_bracket_instance(k, gamma, alphas, rows,
+                                           {"k": k, "gamma": name})
 
 
 # suite name -> entry(algebra, max_weight, max_index, classes), which returns
 # the report parameters and an iterable of the identity instances; the
-# entries of the INDEX_FREE suites take only (algebra, max_weight)
-INDEX_FREE = ("expansion", "nested_bracket")
+# entries of the INDEX_FREE suites take only (algebra, max_weight) and return
+# the instances alone, whose parameters INDEX_FREE gives
+INDEX_FREE = {"expansion": {"operators": "q_2, L_1, L_0(1), d", "a": "<=3"},
+              "nested_bracket": {"k": "<=3", "tuples": "unit + basis samples"}}
 SUITES = {
     "heisenberg": _index_suite(_heisenberg, 3),
     "Lq": _index_suite(_lq, 2),
@@ -947,7 +922,7 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
     if suite in INDEX_FREE:
         if max_index is not None or classes is not None:
             raise ValueError(f"suite {suite!r} takes no max_index or classes")
-        params, instances = SUITES[suite](algebra, max_weight)
+        params, instances = INDEX_FREE[suite], SUITES[suite](algebra, max_weight)
     else:
         params, instances = SUITES[suite](algebra, max_weight, max_index, classes)
     report = Report(suite, algebra.name, params, max_weight)

@@ -407,9 +407,6 @@ def _build(doc):
     return SurfaceAlgebra(name, basis, unit_index, table, integral_vec, canonical)
 
 
-_PRESET_CACHE = {}
-
-
 def preset_path(name):
     if name not in PRESETS:
         raise ParseError(f"unknown preset {name!r}; choose from {PRESETS}")
@@ -419,12 +416,16 @@ def preset_path(name):
 def load_preset(name):
     """Load one of the shipped algebras: p2, p1xp1, torus_like, point.
 
-    Instances are cached so repeated loads share derived data and caches.
+    Instances are cached, one per name, so repeated loads share derived data
+    and caches; an unknown name raises ParseError and is not cached.
     """
-    if name not in _PRESET_CACHE:
-        path = preset_path(name)
-        _PRESET_CACHE[name] = load_algebra(json.loads(path.read_text()))
-    return _PRESET_CACHE[name]
+    return _cached_preset(name)
+
+
+@functools.cache
+def _cached_preset(name):
+    # called by position only, so a keyword call never keys a second instance
+    return load_algebra(json.loads(preset_path(name).read_text()))
 
 
 def parse_element(algebra, text):

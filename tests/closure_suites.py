@@ -1,15 +1,18 @@
 """Reference paths for the row-composing relation suites.
 
-The engine checks the Heisenberg, Lq, LL, qprime and nested-bracket suites by
-composing int rows (operators._Rows), and applies L_n with the contracted
-diagonal read off the product table.  This module keeps what they replaced,
-as sn_enumeration.py keeps the enumerated S_n rows:
+The engine checks every suite by composing rows (operators._Rows): int rows
+for the Heisenberg, Lq, LL, qprime and nested-bracket suites, and for the
+expansion suite a left side whose kernel is commutator_expand.  It applies
+L_n with the contracted diagonal read off the product table.  This module
+keeps what they replaced, as sn_enumeration.py keeps the enumerated S_n rows:
 
 - triple_virasoro_mono: L_n(e_color) on one monomial, applied triple by
   triple through the q kernels in every branch;
-- closure_record: a suite's Report.to_record() built from supercommutator,
-  virasoro, q and derivative maps, in the suite's instance order, through the
-  same check driver.
+- Instance: an identity checked one monomial at a time through closures;
+- closure_record: a suite's Report.to_record() built from Instances of
+  supercommutator, virasoro, q and derivative maps, and for the expansion
+  suite one commutator_expand call per monomial, in the suite's instance
+  order, through the same check driver.
 
 Both read the kernels and `mul` through the fockcalc modules at call time, so
 a mutant patched there acts on the reference as it acts on the engine.
@@ -18,19 +21,20 @@ a mutant patched there acts on the reference as it acts on the engine.
 import itertools
 import json
 import math
+from typing import NamedTuple
 
 from fockcalc import fock, generators, load_algebra, operators
+from fockcalc._linalg import axpy
 from fockcalc._rat import ratio
 from fockcalc.generators import q1_kth_bracket
 from fockcalc.operators import (
-    Instance,
     Report,
-    _basis_monomials_upto,
     _check_instances,
     _index_range,
     _pair,
     _q_kernel,
     _sample_colors,
+    boundary_d,
     derivative,
     q,
     supercommutator,
@@ -71,6 +75,43 @@ def fresh_algebra(name, integral_scale=1):
         for entry in doc["integral"]:
             entry["coeff"] = str(ratio(int(entry["coeff"]) * integral_scale))
     return load_algebra(doc)
+
+
+class Instance(NamedTuple):
+    """One identity lhs(v) - sum(s * rhs(v)) - central * v = 0, checked on
+    every monomial v of `keys`, one at a time; never None, so the check
+    driver counts `keys`.
+
+    `lhs` and the maps in `rhs` (pairs (s, map)) take {mono: c} terms and
+    return a fresh dict, as LinearOperator.fn does.  Checks are counted under
+    `label` in Report.instance_counts, or only in Report.checked when the
+    label is None; `params` go with each discrepancy.
+    """
+
+    label: object
+    params: dict
+    lhs: object
+    rhs: tuple
+    central: object
+    keys: list
+
+    def residuals(self):
+        """(v, residual) for each v of `keys`, in order, whose residual is
+        nonzero; a residual is a {mono: c} dict."""
+        for mono in self.keys:
+            terms = {mono: 1}
+            diff = self.lhs(terms)
+            for scale, op in self.rhs:
+                axpy(diff, op(terms), -scale)
+            if self.central:
+                axpy(diff, {mono: -self.central})
+            if diff:
+                yield mono, diff
+
+
+def basis_upto(alg, max_weight):
+    """Every basis monomial of weight <= max_weight, in sweep order."""
+    return [m for n in range(max_weight + 1) for m in fock.monomial_basis(n, alg)]
 
 
 def _pair_instance(n, m, a, b, lhs, rhs, central, monos):
@@ -133,7 +174,7 @@ def _nested_bracket(alg, max_weight):
     unit = alg.unit()
     sample = [alg.basis_element(c) for c in _sample_colors(
         alg, (0, 1, 2, alg.dim // 2, alg.dim - 1))]
-    monos = _basis_monomials_upto(alg, max_weight)
+    monos = basis_upto(alg, max_weight)
     for k in range(4):
         tuples = [(gamma, [unit] * (k + 1)) for gamma in [unit] + sample]
         if k >= 1 and alg.dim > 4:
@@ -143,18 +184,40 @@ def _nested_bracket(alg, max_weight):
                                           {"k": k, "gamma": repr(gamma)})
 
 
+def _expansion(alg, max_weight):
+    # one commutator_expand call per monomial, each with its own oracle
+    colors = _sample_colors(alg, (0, 1, alg.dim // 2, alg.dim - 1))
+    ops = [q(2, alg.basis_element(c)) for c in colors]
+    ops += [virasoro(1, alg.basis_element(c)) for c in colors]
+    ops += [virasoro(0, alg.unit()), boundary_d(alg)]
+    monos = basis_upto(alg, max_weight)
+    for g in ops:
+        for a in (1, 2, 3):
+            def expanded(terms, g=g, a=a):
+                acc = {}
+                for mono, c in terms.items():
+                    axpy(acc, generators.commutator_expand(g, a, mono).terms, c)
+                return acc
+
+            yield Instance(None, {"g": g.name, "a": a}, expanded, ((1, g.fn),), 0,
+                           [v for v in monos if len(v) >= a])
+
+
+INDEX_FREE = {"expansion": ({"operators": "q_2, L_1, L_0(1), d", "a": "<=3"}, _expansion),
+              "nested_bracket": ({"k": "<=3", "tuples": "unit + basis samples"},
+                                 _nested_bracket)}
 INDEX_SUITES = {"heisenberg": _heisenberg, "Lq": _lq, "LL": _ll, "qprime": _qprime}
 
 
 def closure_record(suite, alg, max_weight, max_index=None, classes=None):
     """Report.to_record() of `suite` from closure maps; the index suites take
-    an explicit max_index and classes, nested_bracket neither."""
-    if suite == "nested_bracket":
-        params = {"k": "<=3", "tuples": "unit + basis samples"}
-        instances = _nested_bracket(alg, max_weight)
+    an explicit max_index and classes, expansion and nested_bracket neither."""
+    if suite in INDEX_FREE:
+        params, make = INDEX_FREE[suite]
+        instances = make(alg, max_weight)
     else:
         params = {"max_index": max_index, "classes": len(classes)}
-        instances = INDEX_SUITES[suite](
-            alg, max_index, classes, _basis_monomials_upto(alg, max_weight))
+        instances = INDEX_SUITES[suite](alg, max_index, classes,
+                                        basis_upto(alg, max_weight))
     report = Report(suite, alg.name, params, max_weight)
     return _check_instances(report, alg, instances).to_record()

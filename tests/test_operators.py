@@ -516,7 +516,8 @@ def test_report_discrepancy_path(p2, monkeypatch):
 def test_check_driver_reports_a_false_identity(p2):
     # q_1(h) = 2 q_1(h) fails on every monomial; Id + q_1(h) = q_1(h) + 1 Id
     # holds, and is counted without a per-instance entry
-    from fockcalc.operators import Instance, Report, _check_instances
+    from closure_suites import Instance
+    from fockcalc.operators import Report, _check_instances, _Rows
     h = p2.basis_element("h")
     monos = [m for w in range(3) for m in monomial_basis(w, p2)]
     q1h = q(1, h).fn
@@ -530,6 +531,26 @@ def test_check_driver_reports_a_false_identity(p2):
     first = rep.discrepancies[0]
     assert (first.params, first.monomial, first.difference) == (
         {"n": 1}, "|0>", "-1 * q_1(h) |0>")
+    # q_n(h) = 2 q_n(h) as a _RowInstance restricted to every other sweep
+    # monomial counts those keys alone and fails on those alone: on the full
+    # scan (q_1(h) has a row on every key) and on the sparse one (q_-1(h)
+    # has a row on some)
+    rows = _Rows(p2, 2)
+    keys = list(range(0, len(rows.monomials), 2))
+    failed = {}
+    for n in (1, -1):
+        op = rows.q(n, h)
+        half = rows.check("half", {"n": n}, ((((op,), 1),), None, None),
+                          ((2, op),), 0, keys)
+        want = [(v, {m: -c for m, c in q(n, h).fn({v: 1}).items()})
+                for v in (rows.monomials[k] for k in keys)]
+        want = [(v, diff) for v, diff in want if diff]
+        assert list(half.residuals()) == want, n
+        rep = _check_instances(Report("t", "p2", {}, 2), p2, [half])
+        assert rep.checked == len(keys) and rep.instance_counts == {"half": len(keys)}
+        failed[n] = rep.discrepancy_count
+        assert failed[n] == len(want)
+    assert failed[1] == len(keys) > failed[-1] > 0
 
 
 def test_verify_relations_runs_on_one_thread(p2):
@@ -992,6 +1013,29 @@ def test_row_discrepancies_match_the_closure_path(monkeypatch):
         assert got == closure_record(suite, alg, 2, 1, classes), suite
         assert len(got["discrepancies"]) == got["discrepancy_count"] > 25, suite
     assert seen == {("heisenberg", "at the key"), ("Lq", "above the sweep")}
+
+
+def test_expansion_rows_match_the_closure_path(monkeypatch, p2, torus):
+    # the expansion suite's rows against one commutator_expand call per
+    # monomial, clean and with every a = 2 expansion divided by 3, which no
+    # int row could hold: under it both paths report the same discrepancies
+    from closure_suites import closure_record
+    from fockcalc import generators
+    from fockcalc.operators import Report
+    monkeypatch.setattr(Report, "max_kept", 10 ** 9)
+    expand = generators.commutator_expand
+
+    def third(g, a, mono, bracket_oracle=None):
+        got = expand(g, a, mono, bracket_oracle)
+        return got.scale(Rat(1, 3)) if a == 2 else got
+
+    for mutant in (None, third):
+        if mutant:
+            monkeypatch.setattr(generators, "commutator_expand", mutant)
+        for alg, max_weight in ((p2, 3), (torus, 2)):
+            got = verify_relations("expansion", alg, max_weight=max_weight).to_record()
+            assert got == closure_record("expansion", alg, max_weight), alg.name
+            assert got["passed"] is (mutant is None), alg.name
 
 
 def test_every_kept_image_is_read_once(monkeypatch, p2, torus):

@@ -38,6 +38,19 @@ def test_presets_load_with_expected_dimensions():
         assert alg.dim == dims[name]
 
 
+def test_presets_load_once_per_name():
+    # one instance per name, however it is passed; an unknown name raises
+    # each time and is not kept
+    from fockcalc.surface import _cached_preset
+    for name in PRESETS:
+        assert load_preset(name) is load_preset(name=name)
+    kept = _cached_preset.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ParseError, match="unknown preset"):
+            load_preset("nope")
+    assert _cached_preset.cache_info().currsize == kept == len(PRESETS)
+
+
 def test_degree_out_of_range_rejected():
     doc = doc_p2()
     doc["basis"][1]["degree"] = 5
