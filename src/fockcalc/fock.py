@@ -9,16 +9,17 @@ repeated odd (size, color) pair kills the monomial.
 Weight of a monomial is the sum of part sizes (which Hilbert scheme it lives
 on); cohomological degree is sum(2*(size-1) + deg color).
 
-The operator workers share two helpers from here: extend makes a
-per-monomial image linear, and memo keeps those images in the tables of one
-algebra at a time, under one weight cap.  Sums of {mono: c} terms go through
-_linalg.axpy.
+The kernels of every operator step are here: prepend_part inserts one
+creation part, and annihilate_into walks the parts an annihilation removes;
+create_into and contract_into apply them over {mono: c} terms.  memo keeps
+the per-monomial images of the operator workers in the tables of one
+algebra at a time, under one weight cap.
 """
 
 import functools
 
-from ._linalg import SparseVector, axpy
-from ._rat import ratio, signed_sum
+from ._linalg import SparseVector
+from ._rat import signed_sum
 from .errors import InvalidPart, TruncationExceeded
 
 # Global cap on monomial weight: computations that climb past this raise
@@ -147,7 +148,7 @@ def memo(kind):
 
     With D = algebra.table_scale, the tables L, d, q1k and gk hold D L_n,
     D d and D^k q_1^(k), all in ints, and k! D^k G_k; the public operators
-    divide by that factor once (extend).
+    divide by that factor once (operators._operator).
 
     A call under another algebra or cap than the live one's (_LIVE) first
     empties the live tables, so one algebra holds images at a time, and a
@@ -174,25 +175,6 @@ def memo(kind):
         return worker
 
     return decorate
-
-
-def extend(worker, algebra, keyed, terms, den=1):
-    """The linear extension of a per-monomial worker, divided by `den`.
-
-    Sums coeff * c * worker(algebra, *key, mono) over (key, coeff) in `keyed`
-    and (mono, c) in `terms`, then divides the sum once: a whole quotient of
-    ints stays an int (//), and any other goes through ratio.
-    """
-    acc = {}
-    for key, coeff in keyed:
-        for mono, c in terms.items():
-            image = worker(algebra, *key, mono)
-            if image:
-                axpy(acc, image, coeff * c)
-    if den == 1:
-        return acc
-    return {m: c // den if c.__class__ is int and not c % den else ratio(c, den)
-            for m, c in acc.items()}
 
 
 class FockVector(SparseVector):

@@ -27,14 +27,14 @@ from . import fock
 from ._linalg import axpy
 from ._rat import ratio
 from .errors import DomainError, OracleMissing
-from .fock import FockVector, extend, memo
+from .fock import FockVector, memo
 from .operators import (
-    LinearOperator,
     Report,
     _Rows,
     _boundary_mono,
     _check_instances,
     _grading,
+    _operator,
     _sign,
     q,
     supercommutator,
@@ -83,21 +83,15 @@ def q1_kth_bracket(k, alpha):
 
     q_1^(0) = q_1, q_1^(1) = L_1.  Applications on monomials are memoized per
     algebra and basis color, as D^k q_1^(k) in ints (D = table_scale), and
-    the summed image is divided by D^k once.
+    the summed image is divided by D^k once (operators._operator).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     algebra = alpha.algebra
     if alpha.is_zero():
         return zero_operator(algebra, 1, None)
-    keyed = tuple(((k, color), coeff) for color, coeff in alpha.coeffs.items())
-
-    def fn(terms):
-        return extend(_q1k_mono, algebra, keyed, terms, algebra.table_scale ** k)
-
-    degree, parity = _grading(alpha, 2 * k)
-    return LinearOperator(algebra, fn, 1, degree, parity,
-                          f"q_1^({k})({alpha!r})")
+    return _operator(_q1k_mono, k, alpha, algebra.table_scale ** k, 1, 2 * k,
+                     f"q_1^({k})({alpha!r})")
 
 
 @memo("q1k")
@@ -129,17 +123,17 @@ def apply_formal_g(k, gamma, v):
 
     Recursion: G_k(gamma)(q_1(b) w) = 1/k! q_1^(k)(gamma b)(w)
                + (-1)^{deg gamma * deg b} q_1(b) G_k(gamma)(w),
-    anchored at G_k(gamma)|0> = 0.  DomainError if any part has size >= 2.
-    The memo images of k! D^k G_k are summed and divided by k! D^k once.
+    anchored at G_k(gamma)|0> = 0.  DomainError if any part has size >= 2,
+    and ValueError if gamma and v live over different algebras.  The memo
+    images of k! D^k G_k are summed and divided by k! D^k once
+    (operators._operator).
     """
-    algebra = v.algebra
     for mono in v.terms:
         if any(s != 1 for s, _ in mono):
             raise DomainError(
                 "the formal G operator is only determined on the q_1 span")
-    keyed = tuple(((k, gcolor), gcoeff) for gcolor, gcoeff in gamma.coeffs.items())
-    return FockVector(algebra, extend(_gk_mono, algebra, keyed, v.terms,
-                                      math.factorial(k) * algebra.table_scale ** k))
+    factor = math.factorial(k) * gamma.algebra.table_scale ** k
+    return _operator(_gk_mono, k, gamma, factor, 0, 2 * k, f"G_{k}({gamma!r})")(v)
 
 
 @memo("gk")
@@ -176,17 +170,17 @@ def g_class(k, gamma, n):
 
 
 def default_bracket_oracle(g):
-    """Iterated commutators [..[g, q_{m1}(b1)], ..., q_{mi}(bi)] built by
-    folding supercommutators; memoized on the selected factor content."""
-    memo = {}
+    """Iterated commutators [..[g, q_{m1}(b1)], ..., q_{mi}(bi)], memoized on
+    the selected factor content: each is the supercommutator of its prefix's
+    with one q, so a prefix and its q are made once."""
+    memo = {(): g}
     algebra = g.algebra
 
     def oracle(selected):
         if selected not in memo:
-            op = g
-            for size, color in selected:
-                op = supercommutator(op, q(size, algebra.basis_element(color)))
-            memo[selected] = op
+            size, color = selected[-1]
+            memo[selected] = supercommutator(oracle(selected[:-1]),
+                                             q(size, algebra.basis_element(color)))
         return memo[selected]
 
     return oracle

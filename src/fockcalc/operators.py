@@ -20,23 +20,25 @@ one thread; verify_relations and nested_bracket_check both go through it.
 Every suite is a row scan: a _RowInstance scans the sweep monomials in one
 pass, composing the int rows of q, L_n, d and q_1^(k) and the exact ones of
 commutator_expand (_Rows), and builds monomials only where a residual is
-nonzero.  Each op applies through one kernel, chosen when the op is made:
-fock.prepend_part per class of a creation, fock.annihilate_into for an
-annihilation, and the memo images of L_n, d or q_1^(k) times the ints of
-the op's class.  Its rows on every sweep monomial are tabled then, with the
-monomials whose row is not empty; a scan visits only those of its words'
-first ops, and above the sweep weight each step is a kernel call adding
-into the scan's sums.  The heisenberg and LL sweeps compose each product
-once for an instance and its mirror.
+nonzero.  Each op's rows on every sweep monomial are tabled when it is
+made, with the monomials whose row is not empty; a scan visits only those
+of its words' first ops, and above the sweep weight each step is a kernel
+call adding into the scan's sums.  The heisenberg and LL sweeps compose
+each product once for an instance and its mirror.
 
-Applications of the Virasoro and boundary operators on basis monomials are
-memoized in per-algebra tables (fock.memo).  With D = algebra.table_scale,
-the tables hold D L_n and D d, and generators' table D^k q_1^(k), all in
-ints, for every algebra: the public operators divide their summed image by
-that power of D once, and the rows multiply the images by ints.  A memo
-call under another algebra or weight cap empties the live tables first, so
-one algebra holds images at a time and a warm table raises
-TruncationExceeded exactly where a cold one would.
+Each operator has one kernel, built by _kernel when the operator is made:
+fock.prepend_part per class of a creation, fock.annihilate_into for an
+annihilation, and the memo images of L_n, d, q_1^(k) or G_k times the ints
+of the class.  The public q, virasoro, boundary_d and generators'
+q1_kth_bracket and apply_formal_g sum it over a vector's terms (_operator);
+the rows call it on each monomial.  The images of L_n and d on basis
+monomials are memoized in per-algebra tables (fock.memo).  With D =
+algebra.table_scale, the tables hold D L_n and D d, and generators' tables
+D^k q_1^(k) and k! D^k G_k, all in ints on every preset: a public operator
+divides its summed image by its scale once, and the rows multiply the
+images by ints.  A memo call under another algebra or weight cap empties
+the live tables first, so one algebra holds images at a time and a warm
+table raises TruncationExceeded exactly where a cold one would.
 """
 
 import itertools
@@ -49,7 +51,7 @@ from . import _linalg, fock
 from ._linalg import axpy
 from ._rat import common_den, exact, ratio, whole
 from .errors import MixedDegree, SingularGram
-from .fock import FockVector, contract_into, create_into, extend, memo
+from .fock import FockVector, create_into, memo
 from .surface import integral, mul
 
 
@@ -166,12 +168,6 @@ def supercommutator(f, g):
 # -- Heisenberg operators -----------------------------------------------------
 
 
-def _q_kernel(n):
-    """The Fock kernel and part size of q_n, n != 0: creation for n > 0,
-    annihilation for n < 0."""
-    return (create_into, n) if n > 0 else (contract_into, -n)
-
-
 def _grading(alpha, offset):
     """(offset + deg alpha, parity) of an operator family built on the class
     alpha.  The degree is None when alpha is zero or mixes degrees; the parity
@@ -182,22 +178,74 @@ def _grading(alpha, offset):
             parities.pop() if len(parities) == 1 else None)
 
 
-def q(n, alpha):
-    """The Heisenberg operator q_n(alpha); q_0 is the zero operator."""
+def _kernel(make, index, alpha, factor, ids):
+    """(into, scale): the kernel of make at `index` on alpha, and its scale,
+    `factor` times the common denominator of alpha, by which alpha is made
+    whole once.  into(acc, mono, c) adds c * scale times the image of mono
+    into acc, without dropping zeros.  make is q or a memo worker whose
+    table holds `factor` times its operator: _virasoro_mono and
+    _boundary_mono (index None, alpha the unit) D, _q1k_mono D^k, _gk_mono
+    k! D^k; an annihilation's factor is algebra.pairing_den.  The caller
+    looks make up when it makes the operator, not when it applies.  A
+    creation keys its terms by their monomials, the others by ids.get(t, t).
+    """
     algebra = alpha.algebra
-    degree, parity = _grading(alpha, 2 * (n - 1))
-    if n == 0 or alpha.is_zero():
-        return zero_operator(algebra, n, degree)
-    items = tuple(alpha.coeffs.items())
-    kernel, size = _q_kernel(n)
+    den = common_den(alpha.coeffs.values())
+    ints = [(c, whole(x * den)) for c, x in alpha.coeffs.items()]
+    if make is not q:
+        keyed = tuple((() if index is None else (index, c), x) for c, x in ints)
+
+        def into(acc, mono, c):
+            for args, x in keyed:
+                x *= c
+                for t, d in make(algebra, *args, mono).items():
+                    t = ids.get(t, t)
+                    acc[t] = acc.get(t, 0) + x * d
+    elif index > 0:
+        parts, prepend = tuple((c, x * factor) for c, x in ints), fock.prepend_part
+
+        def into(acc, mono, c):
+            for color, d in parts:
+                hit = prepend(mono, index, color, algebra)
+                if hit is not None:
+                    t = hit[0]
+                    acc[t] = acc.get(t, 0) + hit[1] * d * c
+    else:
+        pairing, parities = algebra.pairing, algebra.parities
+        weights = [whole(index * factor * sum(x * pairing[i][c] for i, x in ints))
+                   for c in range(algebra.dim)]
+        annihilate = fock.annihilate_into
+
+        def into(acc, mono, c):
+            annihilate(acc, ((mono, c),), -index, weights, 1, parities, ids)
+    return into, den * factor
+
+
+def _operator(make, index, alpha, factor, shift, offset, name):
+    """The public operator of _kernel(make, index, alpha, factor), of grading
+    _grading(alpha, offset): it sums the kernel over the terms and divides
+    by the scale once, a whole quotient of ints staying an int and any other
+    going through ratio; at scale 1 the sum is returned as it is."""
+    into, scale = _kernel(make, index, alpha, factor, {})
 
     def fn(terms):
         acc = {}
-        for color, coeff in items:
-            kernel(acc, size, color, terms, coeff, algebra)
-        return acc
+        for mono, c in terms.items():
+            into(acc, mono, c)
+        if scale == 1:
+            return acc if all(acc.values()) else {m: c for m, c in acc.items() if c}
+        return {m: c // scale if c.__class__ is int and not c % scale
+                else ratio(c, scale) for m, c in acc.items() if c}
 
-    return LinearOperator(algebra, fn, n, degree, parity, f"q_{n}({alpha!r})")
+    return LinearOperator(alpha.algebra, fn, shift, *_grading(alpha, offset), name)
+
+
+def q(n, alpha):
+    """The Heisenberg operator q_n(alpha); q_0 is the zero operator."""
+    if n == 0 or alpha.is_zero():
+        return zero_operator(alpha.algebra, n, _grading(alpha, 2 * (n - 1))[0])
+    return _operator(q, n, alpha, alpha.algebra.pairing_den if n < 0 else 1,
+                     n, 2 * (n - 1), f"q_{n}({alpha!r})")
 
 
 # -- Virasoro -----------------------------------------------------------------
@@ -262,16 +310,10 @@ def virasoro(n, alpha):
     alpha for n != 0, and the normal-ordered sum_{m>0} q_m q_{-m} at n = 0.
 
     On a weight-w vector only the window -w <= m <= n + w contributes.  The
-    images of D L_n are summed and divided by D once.
+    images of D L_n are summed and divided by D once (_operator).
     """
-    algebra = alpha.algebra
-    keyed = tuple(((n, color), coeff) for color, coeff in alpha.coeffs.items())
-
-    def fn(terms):
-        return extend(_virasoro_mono, algebra, keyed, terms, algebra.table_scale)
-
-    degree, parity = _grading(alpha, 2 * n)
-    return LinearOperator(algebra, fn, n, degree, parity, f"L_{n}({alpha!r})")
+    return _operator(_virasoro_mono, n, alpha, alpha.algebra.table_scale, n, 2 * n,
+                     f"L_{n}({alpha!r})")
 
 
 # -- boundary operator and derivatives ---------------------------------------
@@ -300,12 +342,9 @@ def _boundary_mono(algebra, mono):
 def boundary_d(algebra):
     """The boundary operator: cup product with -1/2 the boundary class,
     realized through its creation-operator recursion.  Bidegree (0, 2).
-    The images of D d are summed and divided by D once."""
-
-    def fn(terms):
-        return extend(_boundary_mono, algebra, (((), 1),), terms, algebra.table_scale)
-
-    return LinearOperator(algebra, fn, 0, 2, 0, "d")
+    The images of D d are summed and divided by D once (_operator)."""
+    return _operator(_boundary_mono, None, algebra.unit(), algebra.table_scale, 0, 2,
+                     "d")
 
 
 def derivative(f, k=1):
@@ -503,20 +542,19 @@ def _index_range(bound):
 
 class _Op:
     """One operator's rows: `table` holds those on every sweep monomial of
-    the _Rows it is made for, and `keys` the sweep monomials whose row is not
-    empty.  Each row is `scale` times the operator's image, in ints for every
-    op of _Rows.op.  The op applies through its one kernel, into(acc, mono,
-    c), which adds c times its row on any monomial into acc.  A kernel that
-    keys its terms by their monomials, as a creation's does, is marked
-    `by_monomial`, and its table is keyed through ids."""
+    the _Rows it is made for, keyed through ids, and `keys` the sweep
+    monomials whose row is not empty.  Each row is `scale` times the
+    operator's image, in ints for every op of _Rows.op.  The op applies
+    through its one kernel, into(acc, mono, c), which adds c times its row
+    on any monomial into acc; a kernel may key its terms by their monomials,
+    as a creation's does (_kernel), since its table is keyed here."""
 
     __slots__ = ("table", "keys", "scale", "into")
 
-    def __init__(self, rows, scale, into, by_monomial=False):
+    def __init__(self, rows, into, scale):
         self.scale, self.into, ids = scale, into, rows.ids
-        self.table = [rows.row(self, m) for m in rows.monomials]
-        if by_monomial:
-            self.table = [tuple([(ids.get(t, t), c) for t, c in r]) for r in self.table]
+        self.table = [tuple([(ids.get(t, t), c) for t, c in rows.row(self, m)])
+                      for m in rows.monomials]
         # the ints of ids, shared by every op's keys, not new ones per op
         self.keys = [k for k, row in zip(ids.values(), self.table) if row]
 
@@ -657,59 +695,20 @@ class _Rows:
         self.monomials = [mono for n in range(max_weight + 1)
                           for mono in fock.monomial_basis(n, algebra)]
         self.ids = {mono: k for k, mono in enumerate(self.monomials)}
-        self.pairing_den = common_den(sum(algebra.pairing, []))
         self.ops, self.kept = {}, {}
 
     def op(self, make, index, alpha, factor=1):
-        """The op of make at `index` on alpha, with its kernel and table; its
-        scale is `factor` times the common denominator of alpha, and alpha
-        times that denominator is made whole once.  make is q or a memo
-        worker, as the caller looks it up now, whose table holds `factor`
-        times its operator: _virasoro_mono with D, _boundary_mono with D
-        (index None, alpha the unit), _q1k_mono with D^k.  The kernel of a
-        creation q_n prepends (n, c) per class c, an annihilation's is one
-        fock.annihilate_into walk, and a memo op's sums the worker's images
-        times the ints of alpha."""
+        """The op of _kernel(make, index, alpha, factor), with its table; made
+        once per sweep, and kept in `ops`."""
         key = (make, index, frozenset(alpha.coeffs.items()), factor)
         if key not in self.ops:
             _check_algebras(self, alpha)
-            den = common_den(alpha.coeffs.values())
-            ints = [(c, whole(x * den)) for c, x in alpha.coeffs.items()]
-            algebra, ids = self.algebra, self.ids
-            if make is not q:
-                keyed = tuple((() if index is None else (index, c), x) for c, x in ints)
-
-                def into(acc, mono, c):
-                    for args, x in keyed:
-                        x *= c
-                        for t, d in make(algebra, *args, mono).items():
-                            t = ids.get(t, t)
-                            acc[t] = acc.get(t, 0) + x * d
-            elif index > 0:
-                parts, prepend = tuple((c, x * factor) for c, x in ints), fock.prepend_part
-
-                def into(acc, mono, c):
-                    for color, d in parts:
-                        hit = prepend(mono, index, color, algebra)
-                        if hit is not None:
-                            t = hit[0]
-                            acc[t] = acc.get(t, 0) + hit[1] * c * d
-            else:
-                # w[c] = -size int(alpha e_c) scale, the coefficient of a part
-                # (size, c) that contract_into would give
-                pairing, parities = algebra.pairing, algebra.parities
-                weights = [whole(index * factor * sum(x * pairing[i][c] for i, x in ints))
-                           for c in range(algebra.dim)]
-                annihilate = fock.annihilate_into
-
-                def into(acc, mono, c):
-                    annihilate(acc, ((mono, c),), -index, weights, 1, parities, ids)
-            self.ops[key] = _Op(self, den * factor, into, make is q and index > 0)
+            self.ops[key] = _Op(self, *_kernel(make, index, alpha, factor, self.ids))
         return self.ops[key]
 
     def q(self, n, alpha):
         """q_n(alpha); annihilations are scaled by the pairing's denominator."""
-        return self.op(q, n, alpha, self.pairing_den if n < 0 else 1)
+        return self.op(q, n, alpha, self.algebra.pairing_den if n < 0 else 1)
 
     def virasoro(self, n, alpha):
         """L_n(alpha), scaled by D as its memo table is."""
@@ -829,29 +828,29 @@ def _sample_colors(algebra, picks):
 
 
 def _expansion(algebra, max_weight):
-    """For each g, its op on the right and, per a <= 3, an op of scale 1 on
-    the left whose kernel adds commutator_expand(g, a, v), one bracket
-    oracle per g, on the monomials v with at least a parts, which alone are
-    checked.  Those rows are never made whole, so a wrong expansion is a
-    discrepancy."""
+    """For each g, its op on the right, made with its three instances and
+    not kept in rows.ops, and, per a <= 3, an op of scale 1 on the left whose
+    kernel adds commutator_expand(g, a, v), one bracket oracle per g, on the
+    monomials v with at least a parts, which alone are checked.  Those rows
+    are never made whole, so a wrong expansion is a discrepancy."""
     # generators imports this module, so it is imported at call time
     from .generators import commutator_expand, default_bracket_oracle
 
-    rows, unit = _Rows(algebra, max_weight), algebra.unit()
+    rows, unit, scale = _Rows(algebra, max_weight), algebra.unit(), algebra.table_scale
     sample = [algebra.basis_element(c) for c in
               _sample_colors(algebra, (0, 1, algebra.dim // 2, algebra.dim - 1))]
-    gs = [(q(2, e), rows.q(2, e)) for e in sample]
-    gs += [(virasoro(1, e), rows.virasoro(1, e)) for e in sample]
-    gs += [(virasoro(0, unit), rows.virasoro(0, unit)), (boundary_d(algebra), rows.op(
-        _boundary_mono, None, unit, algebra.table_scale))]
-    for g, right in gs:
-        oracle = default_bracket_oracle(g)
+    gs = [(q(2, e), (q, 2, e, 1)) for e in sample]
+    gs += [(virasoro(1, e), (_virasoro_mono, 1, e, scale)) for e in sample]
+    gs += [(virasoro(0, unit), (_virasoro_mono, 0, unit, scale)),
+           (boundary_d(algebra), (_boundary_mono, None, unit, scale))]
+    for g, kernel in gs:
+        right, oracle = _Op(rows, *_kernel(*kernel, rows.ids)), default_bracket_oracle(g)
         for a in (1, 2, 3):
             def into(acc, mono, c, g=g, a=a, oracle=oracle):
                 if len(mono) >= a:
                     axpy(acc, commutator_expand(g, a, mono, oracle).terms, c)
 
-            left = ((((_Op(rows, 1, into, True),), 1),), None, None)
+            left = ((((_Op(rows, into, 1),), 1),), None, None)
             yield rows.check(None, {"g": g.name, "a": a}, left, ((1, right),), 0,
                              [k for k, v in enumerate(rows.monomials) if len(v) >= a])
 

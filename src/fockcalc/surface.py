@@ -176,6 +176,11 @@ class SurfaceAlgebra:
         return self._diagonal_cache[i]
 
     @functools.cached_property
+    def pairing_den(self):
+        """The common denominator of the pairing entries int(e_i e_j)."""
+        return common_den(sum(self.pairing, []))
+
+    @functools.cached_property
     def table_scale(self):
         """The int D of the operator memo tables, 2 on every preset: D L_n(e_c),
         D d and D^k q_1^(k)(e_c) are whole on basis monomials.  An L term
@@ -185,9 +190,8 @@ class SurfaceAlgebra:
         product = common_den(x for row in self.product for cell in row.values()
                              for x in cell.values())
         dual = common_den(sum(self._dual_coeffs, []))
-        pairing = common_den(sum(self.pairing, []))
         canonical = common_den(self.canonical_class.coeffs.values()) * product
-        return math.lcm(2 * dual * product * pairing ** 2, canonical)
+        return math.lcm(2 * dual * product * self.pairing_den ** 2, canonical)
 
     def halved_diagonal(self, i):
         """What L_n(e_i) reads of the diagonal tau(e_i), times D/2 (D =

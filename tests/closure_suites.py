@@ -6,15 +6,18 @@ expansion suite a left side whose kernel is commutator_expand.  It applies
 L_n with the contracted diagonal read off the product table.  This module
 keeps what they replaced, as sn_enumeration.py keeps the enumerated S_n rows:
 
+- reference_q: q_n(alpha) through fock.create_into and fock.contract_into,
+  one call per class of alpha, independent of the kernels that the engine's
+  operators and rows share (operators._kernel);
 - triple_virasoro_mono: L_n(e_color) on one monomial, applied triple by
-  triple through the q kernels in every branch;
+  triple through those kernels in every branch;
 - Instance: an identity checked one monomial at a time through closures;
 - closure_record: a suite's Report.to_record() built from Instances of
-  supercommutator, virasoro, q and derivative maps, and for the expansion
+  supercommutator, virasoro, reference_q and derivative maps, and for the expansion
   suite one commutator_expand call per monomial, in the suite's instance
   order, through the same check driver.
 
-Both read the kernels and `mul` through the fockcalc modules at call time, so
+They read the kernels and `mul` through the fockcalc modules at call time, so
 a mutant patched there acts on the reference as it acts on the engine.
 """
 
@@ -28,19 +31,41 @@ from fockcalc._linalg import axpy
 from fockcalc._rat import ratio
 from fockcalc.generators import q1_kth_bracket
 from fockcalc.operators import (
+    LinearOperator,
     Report,
     _check_instances,
+    _grading,
     _index_range,
     _pair,
-    _q_kernel,
     _sample_colors,
     boundary_d,
     derivative,
-    q,
     supercommutator,
     virasoro,
 )
 from fockcalc.surface import integral, preset_path
+
+
+def _q_kernel(n):
+    """The Fock kernel and part size of q_n: creation for n > 0, annihilation
+    for n <= 0, where size 0 removes no part, so q_0 is 0."""
+    return (fock.create_into, n) if n > 0 else (fock.contract_into, -n)
+
+
+def reference_q(n, alpha):
+    """q_n(alpha) as a LinearOperator that applies the kernel of _q_kernel(n)
+    once per class of alpha, times that class's coefficient."""
+    algebra = alpha.algebra
+    kernel, size = _q_kernel(n)
+
+    def fn(terms):
+        acc = {}
+        for color, coeff in alpha.coeffs.items():
+            kernel(acc, size, color, terms, coeff, algebra)
+        return acc
+
+    return LinearOperator(algebra, fn, n, *_grading(alpha, 2 * (n - 1)),
+                          f"q_{n}({alpha!r})")
 
 
 def triple_virasoro_mono(algebra, n, color, mono, diagonal=1):
@@ -122,7 +147,7 @@ def _heisenberg(alg, bound, classes, monos):
     idx = _index_range(bound)
     for n, m, a, b in itertools.product(idx, idx, classes, classes):
         central = n * integral(operators.mul(a, b)) if n + m == 0 else 0
-        yield _pair_instance(n, m, a, b, supercommutator(q(n, a), q(m, b)).fn,
+        yield _pair_instance(n, m, a, b, supercommutator(reference_q(n, a), reference_q(m, b)).fn,
                              (), central, monos)
 
 
@@ -131,8 +156,9 @@ def _lq(alg, bound, classes, monos):
     for n, m, a, b in itertools.product(idx, idx, classes, classes):
         if m:
             yield _pair_instance(n, m, a, b,
-                                 supercommutator(virasoro(n, a), q(m, b)).fn,
-                                 ((-m, q(n + m, operators.mul(a, b)).fn),), 0, monos)
+                                 supercommutator(virasoro(n, a), reference_q(m, b)).fn,
+                                 ((-m, reference_q(n + m, operators.mul(a, b)).fn),), 0,
+                                 monos)
 
 
 def _ll(alg, bound, classes, monos):
@@ -153,9 +179,9 @@ def _qprime(alg, bound, classes, monos):
         k_scale = n * (abs(n) - 1) // 2
         rhs = ((n, virasoro(n, a).fn),)
         if k_scale:
-            rhs += ((k_scale, q(n, operators.mul(alg.canonical_class, a)).fn),)
+            rhs += ((k_scale, reference_q(n, operators.mul(alg.canonical_class, a)).fn),)
         yield Instance(f"n={n}", {"n": n, "alpha": repr(a)},
-                       derivative(q(n, a), 1).fn, rhs, 0, monos)
+                       derivative(reference_q(n, a), 1).fn, rhs, 0, monos)
 
 
 def nested_bracket_instance(k, gamma, alphas, monos, params):
@@ -164,9 +190,9 @@ def nested_bracket_instance(k, gamma, alphas, monos, params):
     prod = generators.mul(gamma, alphas[0])
     lhs = q1_kth_bracket(k, prod) * ratio(1, math.factorial(k))
     for a in alphas[1:]:
-        lhs = supercommutator(lhs, q(1, a))
+        lhs = supercommutator(lhs, reference_q(1, a))
         prod = generators.mul(prod, a)
-    return Instance(None, params, lhs.fn, (((-1) ** k, q(k + 1, prod).fn),), 0,
+    return Instance(None, params, lhs.fn, (((-1) ** k, reference_q(k + 1, prod).fn),), 0,
                     monos)
 
 
@@ -187,7 +213,7 @@ def _nested_bracket(alg, max_weight):
 def _expansion(alg, max_weight):
     # one commutator_expand call per monomial, each with its own oracle
     colors = _sample_colors(alg, (0, 1, alg.dim // 2, alg.dim - 1))
-    ops = [q(2, alg.basis_element(c)) for c in colors]
+    ops = [reference_q(2, alg.basis_element(c)) for c in colors]
     ops += [virasoro(1, alg.basis_element(c)) for c in colors]
     ops += [virasoro(0, alg.unit()), boundary_d(alg)]
     monos = basis_upto(alg, max_weight)

@@ -1,5 +1,6 @@
-"""Golden stdout of `fockcalc verify`: every suite, both formats, pinned byte
-for byte together with exit codes, and one nested_bracket_check record.
+"""Golden stdout of `fockcalc verify` and `fockcalc class`: every suite, B
+and G classes of rational, combined and odd classes, both formats, pinned
+byte for byte together with exit codes, and one nested_bracket_check record.
 
 The expected outputs live in golden_verify.json.  After an intended change of
 output, rewrite them with
@@ -32,6 +33,14 @@ CASES.update({f"{fmt} multi p2 w2":
               ["--format", fmt, "verify", "--suite", ",".join(SUITES),
                "--algebra", "p2", "--max-weight", "2", "--max-index", "1"]
               for fmt in ("text", "structured")})
+# B and G at i = 2, n = 3: the G cases run apply_formal_g through
+# q_1^(2) and d; x1 on torus_like is odd
+CLASS_CASES = {f"{fmt} class {kind} {alg} {gamma}":
+               ["--format", fmt, "class", kind, "--i", "2", "--gamma", gamma,
+                "--n", "3", "--algebra", alg]
+               for fmt in ("text", "structured") for kind in ("B", "G")
+               for alg, gamma in (("p2", "1/2*h - 3*h2"), ("p1xp1", "f - 1/3*g"),
+                                  ("torus_like", "x1"))}
 
 
 def run_cli(argv):
@@ -58,6 +67,11 @@ def test_verify_stdout_golden(name):
     assert run_cli(CASES[name]) == load_golden()["cli"][name]
 
 
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_class_stdout_golden(name):
+    assert run_cli(CLASS_CASES[name]) == load_golden()["class"][name]
+
+
 def test_nested_bracket_check_record_golden():
     assert nested_record() == load_golden()["nested_bracket_check"]
 
@@ -74,6 +88,7 @@ def test_index_free_suites_keep_one_instance():
 
 if __name__ == "__main__":
     data = {"cli": {name: run_cli(argv) for name, argv in sorted(CASES.items())},
+            "class": {name: run_cli(argv) for name, argv in sorted(CLASS_CASES.items())},
             "nested_bracket_check": nested_record()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -199,8 +199,8 @@ def test_contracted_kernel_reads_the_kunneth_triples(monkeypatch):
     # which has no such pair, keeps its image, and an L_n with n >= 2 changes
     # by what triple_virasoro_mono changes with its annihilations switched off
     import closure_suites
-    from closure_suites import fresh_algebra, triple_virasoro_mono
-    from fockcalc.operators import _q_kernel, _virasoro_mono
+    from closure_suites import _q_kernel, fresh_algebra, triple_virasoro_mono
+    from fockcalc.operators import _virasoro_mono
     clean, alg = fresh_algebra("p2"), fresh_algebra("p2")
     (u, v, t), *rest = alg.kunneth_triples(0)
     alg._diagonal_cache[0] = ((u, v, 2 * t), *rest)
@@ -1098,8 +1098,9 @@ def test_every_op_is_read_by_a_word(monkeypatch, p2):
 @pytest.mark.parametrize("fixture, max_weight", (("p2", 2), ("torus", 1)))
 def test_op_tables_key_every_sweep_monomial_by_its_index(monkeypatch, request,
                                                          fixture, max_weight):
-    # _Rows.op maps only creation rows through ids, as row keys the others by
-    # it already: every table of a sweep equals its rows with each key mapped
+    # _Op keys every table through ids, since a creation's kernel keys its
+    # terms by their monomials: every table of a sweep equals its rows with
+    # each key mapped
     from fockcalc import operators
     alg, made = request.getfixturevalue(fixture), []
 
@@ -1122,6 +1123,35 @@ def test_op_tables_key_every_sweep_monomial_by_its_index(monkeypatch, request,
                                 for m in rows.monomials]
 
 
+@pytest.mark.parametrize("name, scale", (
+    ("point", 1), ("p2", 1), ("p1xp1", 1), ("torus_like", 1), ("p2", Rat(2, 3))))
+def test_q_matches_the_reference_kernels(name, scale):
+    # the public q_n(alpha) against reference_q, which applies
+    # fock.create_into or fock.contract_into once per class of alpha, for
+    # n = +-1..+-3 on every monomial of weight <= 3, with basis classes
+    # (sampled past dim 4) and two rational combinations: equal values, and
+    # an int exactly where the value is whole.  The reference multiplies the
+    # class's Rats into the terms and may keep a whole one (as on p2 at
+    # int(h2) = 2/3); q divides its int sum once, through ratio
+    from closure_suites import fresh_algebra, reference_q
+    alg = fresh_algebra(name, scale)
+    colors = range(alg.dim) if alg.dim <= 4 else (0, 1, 5, alg.dim - 1)
+    classes = [alg.basis_element(c) for c in colors]
+    classes += [sum(classes[1:], classes[0].scale(Rat(1, 3))),
+                classes[-1].scale(Rat(-5, 2)) + classes[0].scale(Rat(3, 7))]
+    vectors = [FockVector(alg, {m: 1}) for w in range(4) for m in monomial_basis(w, alg)]
+    whole_seen = 0
+    for alpha, n in itertools.product(classes, (-3, -2, -1, 1, 2, 3)):
+        got_op, want_op = q(n, alpha), reference_q(n, alpha)
+        for v in vectors:
+            got, want = got_op(v).terms, want_op(v).terms
+            assert got == want, (n, alpha, v)
+            for m, c in got.items():
+                assert (c.__class__ is int) is (want[m].denominator == 1), (n, alpha, v)
+                whole_seen += c.__class__ is int
+    assert whole_seen
+
+
 @pytest.mark.parametrize("name, scale, texts", (
     ("p2", 1, ("1", "h", "h2", "3/4*h - 2*h2")),
     ("torus_like", 1, ("1", "x1", "x1x2", "x2x3x4", "1/2*x1 + 3*x3", "x1 - 2*x2")),
@@ -1129,12 +1159,13 @@ def test_op_tables_key_every_sweep_monomial_by_its_index(monkeypatch, request,
 def test_q_rows_match_the_operator_images(name, scale, texts):
     # rows of q_n, L_n, q_1^(k) and d against the operator on alpha times the
     # op's scale (D^k times the class's denominator for the memo ops), keyed
-    # through ids: the table on every sweep monomial
+    # through ids; q_n against reference_q, which shares no kernel with the
+    # rows (fock.create_into / contract_into): the table on every sweep monomial
     # (weight <= 1), and row on monomials of weight 2 and 3 above it, where
     # annihilations meet repeated equal parts and may land back in the sweep;
     # odd classes of torus_like bring Koszul signs, and p2 at int(h2) = 2/3 a
     # pairing with a denominator
-    from closure_suites import fresh_algebra
+    from closure_suites import fresh_algebra, reference_q
     from fockcalc.generators import _q1k_mono, q1_kth_bracket
     from fockcalc.operators import _Rows, _boundary_mono
     alg = fresh_algebra(name, scale)
@@ -1144,7 +1175,7 @@ def test_q_rows_match_the_operator_images(name, scale, texts):
     cases = [(d, boundary_d(alg) * d.scale)]
     for text in texts:
         alpha = parse_element(alg, text)
-        ops = [(q, n, rows.q(n, alpha)) for n in (-2, -1, 1, 2)]
+        ops = [(reference_q, n, rows.q(n, alpha)) for n in (-2, -1, 1, 2)]
         ops += [(virasoro, n, rows.virasoro(n, alpha)) for n in (-1, 0, 2)]
         ops += [(q1_kth_bracket, k, rows.op(_q1k_mono, k, alpha, table_scale ** k))
                 for k in (1, 2)]

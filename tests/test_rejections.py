@@ -11,6 +11,8 @@ from fockcalc import (
     InvalidPart,
     ParseError,
     UnknownBasisId,
+    apply_formal_g,
+    canonicalize,
     commutator_expand,
     derivative,
     g_class,
@@ -148,6 +150,14 @@ def _h():
     return _p2().basis_element("h")
 
 
+def _formal_g_across_algebras(gamma_id):
+    """G_1 of a p1xp1 class on the p2 vector q_1(1)^2|0>, which once read the
+    class's colour indices in p2 (-q_2(h)|0> for f, IndexError for fg)."""
+    p2 = _p2()
+    v = canonicalize(p2, [(1, p2.unit())] * 2)
+    return apply_formal_g(1, load_preset("p1xp1").basis_element(gamma_id), v)
+
+
 # case: (action, exception class, message fragment)
 API_REJECTIONS = {
     "verify_relations of an unknown suite": (
@@ -168,6 +178,12 @@ API_REJECTIONS = {
     "commutator_expand on a non-creation part": (
         lambda: commutator_expand(q(1, _h()), 1, ((0, 0),)), ValueError,
         "creation parts"),
+    "apply_formal_g across algebras": (
+        lambda: _formal_g_across_algebras("f"), ValueError,
+        "operators over different algebras"),
+    "apply_formal_g across algebras, colour past the other's basis": (
+        lambda: _formal_g_across_algebras("fg"), ValueError,
+        "operators over different algebras"),
     "inner_product across algebras": (
         lambda: inner_product(FockVector.vacuum(_p2()),
                               FockVector.vacuum(load_preset("p1xp1"))),
