@@ -28,6 +28,10 @@ DEFAULT_CAP = 9
 
 def check_partition(lam, n=None):
     lam = tuple(lam)
+    if any(p.__class__ is not int for p in lam):
+        raise TypeError(f"a part of {lam} is not an int")
+    if n is not None and n.__class__ is not int:
+        raise TypeError(f"rank {n!r} is not an int")
     if any(p < 1 for p in lam) or list(lam) != sorted(lam, reverse=True):
         raise ValueError(f"{lam} is not a weakly decreasing positive partition")
     if n is not None and sum(lam) != n:
@@ -81,20 +85,26 @@ def _mn_character(beads, rest, memo):
     """chi^rho at the cycle type `rest`, by the Murnaghan-Nakayama rule on the
     beta-set of rho, a bitmask of bead positions: a rim hook of length r is a
     bead moved from b to a free b - r, signed by the parity of the beads
-    strictly between.  `memo` lives for one table build."""
+    strictly between.  Only the movable beads are walked, lowest first: the
+    set bits of beads & ~(beads << r) at positions >= r.  `memo` lives for
+    one table build."""
     if not rest:
         return 1
     key = (beads, rest)
-    if key not in memo:
-        r, total = rest[0], 0
-        for b in range(r, beads.bit_length()):
-            if beads >> b & 1 and not beads >> (b - r) & 1:
-                moved = beads ^ (1 << b) ^ (1 << (b - r))
-                value = _mn_character(moved, rest[1:], memo)
-                between = beads >> (b - r + 1) & ((1 << (r - 1)) - 1)
-                total += -value if between.bit_count() % 2 else value
+    total = memo.get(key)
+    if total is None:
+        r, tail, total = rest[0], rest[1:], 0
+        movable = (beads & ~(beads << r)) >> r << r
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            value = _mn_character(beads ^ bead ^ (bead >> r), tail, memo)
+            # the beads at positions b - r + 1 .. b - 1
+            if value and (beads & (bead - 1) & -(bead >> (r - 1))).bit_count() & 1:
+                value = -value
+            total += value
         memo[key] = total
-    return memo[key]
+    return total
 
 
 def _character_table(n):

@@ -270,16 +270,28 @@ def inner_product(u, v):
 
     The leading factor q_n(c) of the left argument moves across as
     (-1)^(n + m * deg rest) q_{-n}(c), with m the operator degree of the
-    factor.  Nonzero only when weights agree and degrees are complementary
-    (deg u + deg v = 4 * weight).
+    factor.  Nonzero only when degrees are complementary (deg u + deg v =
+    4 * weight) and, monomial by monomial, part sizes agree: each annihilation
+    removes a part of its own size.  So every term of u is paired only with
+    the terms of v of its shape, its tuple of part sizes.
     """
     if u.algebra is not v.algebra:
         raise ValueError("vectors over different algebras")
     alg = u.algebra
+    by_shape = {}
+    for mono, c in v.terms.items():
+        by_shape.setdefault(shape(mono), {})[mono] = c
     total = 0
     for mono, cu in u.terms.items():
-        total += cu * _pair_mono(mono, v.terms, alg)
+        group = by_shape.get(shape(mono))
+        if group:
+            total += cu * _pair_mono(mono, group, alg)
     return total
+
+
+def shape(mono):
+    """The part sizes of a canonical monomial, largest first."""
+    return tuple([s for s, _ in mono])
 
 
 def _pair_mono(mono, right_terms, alg):

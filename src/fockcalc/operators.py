@@ -367,16 +367,19 @@ def gram_matrix(algebra, n, i):
     For surface-type algebras (top degree 4) the complement is (n, 4n - i);
     the one-point model pairs each piece with itself.  Returns
     (rows, row_basis, col_basis).  The form vanishes on pairs of pieces that
-    are not complementary, so this block is the whole story.
+    are not complementary, so this block is the whole story; within it, it
+    vanishes on monomials of different shapes (fock.inner_product), and such
+    entries are written 0 without pairing.
     """
     comp = 4 * n - i if algebra.top_degree == 4 else i
     rows_basis = fock.monomial_basis(n, algebra, degree_filter=i)
     cols_basis = fock.monomial_basis(n, algebra, degree_filter=comp)
+    col_shapes = [fock.shape(b) for b in cols_basis]
     rows = []
     for a in rows_basis:
-        u = FockVector(algebra, {a: 1})
-        rows.append([fock.inner_product(u, FockVector(algebra, {b: 1}))
-                     for b in cols_basis])
+        sa = fock.shape(a)
+        rows.append([fock._pair_mono(a, {b: 1}, algebra) if sb == sa else 0
+                     for b, sb in zip(cols_basis, col_shapes)])
     return rows, rows_basis, cols_basis
 
 

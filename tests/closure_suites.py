@@ -15,7 +15,11 @@ keeps what they replaced, as sn_enumeration.py keeps the enumerated S_n rows:
 - closure_record: a suite's Report.to_record() built from Instances of
   supercommutator, virasoro, reference_q and derivative maps, and for the expansion
   suite one commutator_expand call per monomial, in the suite's instance
-  order, through the same check driver.
+  order, through the same check driver;
+- reference_inner_product, reference_gram_matrix and reference_adjoint_matrix:
+  the bilinear form paired shape-blind, every term of the left vector against
+  every term of the right, where the engine pairs each term with the right
+  terms of its own shape only.
 
 They read the kernels and `mul` through the fockcalc modules at call time, so
 a mutant patched there acts on the reference as it acts on the engine.
@@ -25,6 +29,7 @@ import itertools
 import json
 import math
 from typing import NamedTuple
+from unittest import mock
 
 from fockcalc import fock, generators, load_algebra, operators
 from fockcalc._linalg import axpy
@@ -100,6 +105,35 @@ def fresh_algebra(name, integral_scale=1):
         for entry in doc["integral"]:
             entry["coeff"] = str(ratio(int(entry["coeff"]) * integral_scale))
     return load_algebra(doc)
+
+
+def reference_inner_product(u, v):
+    """The bilinear form with each term of u paired against all of v."""
+    if u.algebra is not v.algebra:
+        raise ValueError("vectors over different algebras")
+    total = 0
+    for mono, cu in u.terms.items():
+        total += cu * fock._pair_mono(mono, v.terms, u.algebra)
+    return total
+
+
+def reference_gram_matrix(algebra, n, i):
+    """operators.gram_matrix with every entry paired by reference_inner_product."""
+    comp = 4 * n - i if algebra.top_degree == 4 else i
+    rows_basis = fock.monomial_basis(n, algebra, degree_filter=i)
+    cols_basis = fock.monomial_basis(n, algebra, degree_filter=comp)
+    rows = [[reference_inner_product(fock.FockVector(algebra, {a: 1}),
+                                     fock.FockVector(algebra, {b: 1}))
+             for b in cols_basis] for a in rows_basis]
+    return rows, rows_basis, cols_basis
+
+
+def reference_adjoint_matrix(f, source):
+    """operators.adjoint_matrix with its Gram matrix and its pairings taken
+    from reference_gram_matrix and reference_inner_product."""
+    with mock.patch.object(fock, "inner_product", reference_inner_product), \
+            mock.patch.object(operators, "gram_matrix", reference_gram_matrix):
+        return operators.adjoint_matrix(f, source)
 
 
 class Instance(NamedTuple):

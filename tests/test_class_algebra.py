@@ -247,6 +247,18 @@ def test_character_degrees_and_linear_characters(n):
         assert table[k][-1] == (-1) ** (n - len(k))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_character_table_matches_the_rim_hook_rule(n, monkeypatch):
+    # a fresh build, entry by entry against the frozenset bead walk below
+    monkeypatch.setattr(class_algebra, "_ROW_CACHE", {})
+    table = class_algebra._character_table(n)
+    classes = partitions_of(n)
+    for a, rho in enumerate(classes):
+        beta = beta_set(rho)
+        for nu in classes:
+            assert table[nu][a] == _rim_hook_character(beta, nu), (n, rho, nu)
+
+
 def test_corrupted_character_table_raises(monkeypatch):
     monkeypatch.setattr(class_algebra, "_ROW_CACHE", {})
     table = class_algebra._character_table(5)
@@ -343,6 +355,11 @@ def test_generation_closure_skips_repeated_pairs(monkeypatch):
 # -- the closure against its closed form ----------------------------------------
 
 
+def beta_set(rho):
+    """The first-column hook lengths of rho, as a frozenset of bead positions."""
+    return frozenset(p + len(rho) - 1 - k for k, p in enumerate(rho))
+
+
 @functools.lru_cache(maxsize=None)
 def _rim_hook_character(beta, mu):
     """chi at the cycle type mu of the partition with beta-set `beta` (a
@@ -368,7 +385,7 @@ def central_character_count(classes, n):
     constant where all the omega agree."""
     vectors = set()
     for rho in partitions_of(n):
-        beta = frozenset(p + len(rho) - 1 - k for k, p in enumerate(rho))
+        beta = beta_set(rho)
         degree = _rim_hook_character(beta, (1,) * n)
         assert degree == hook_length_dimension(rho), rho
         vectors.add(tuple(Fraction(class_size(lam) * _rim_hook_character(beta, lam),

@@ -1,5 +1,6 @@
 """Fock space basics: canonical monomials, signs, bilinear form, truncation."""
 
+import functools
 import itertools
 
 import pytest
@@ -21,7 +22,7 @@ from fockcalc import (
 )
 from fockcalc.class_algebra import partitions_of
 from fockcalc.fock import prepend_part
-from fockcalc.operators import gram_matrix
+from fockcalc.operators import adjoint_matrix, boundary_d, gram_matrix, q
 from fockcalc._linalg import RowSpan
 
 
@@ -272,6 +273,64 @@ def test_gram_nondegenerate_low_weight(p2, torus, point):
                     for row in rows:
                         span.add(row)
                     assert span.dimension == len(rbasis), (n, i)
+
+
+# -- the pairing against its shape-blind reference ----------------------------------
+
+# case: (preset, integral scale, class of q_n, top weight); the class on
+# torus_like is odd, and the scaled p2 has integral h2 = 2/3
+PAIRING_CASES = {"p2": ("p2", 1, "h", 4), "p1xp1": ("p1xp1", 1, "f", 4),
+                 "torus_like": ("torus_like", 1, "x1", 3),
+                 "p2 h2 = 2/3": ("p2", Rat(2, 3), "h", 4)}
+
+
+@functools.lru_cache(maxsize=None)
+def pairing_algebra(case):
+    from closure_suites import fresh_algebra
+    name, scale, _, _ = PAIRING_CASES[case]
+    return fresh_algebra(name, scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(PAIRING_CASES)), st.data())
+def test_inner_product_matches_the_shape_blind_reference(case, data):
+    # u on one piece, v on its complement, each with a few terms of any
+    # degree beside: mixed shapes on both sides, odd parts on torus_like
+    from closure_suites import reference_inner_product
+    alg = pairing_algebra(case)
+    n = data.draw(st.integers(0, PAIRING_CASES[case][3]))
+    i = data.draw(st.integers(0, 4 * n))
+    coeff = st.builds(Rat, st.integers(-4, 4), st.integers(1, 3))
+
+    def draw_vector(degree):
+        piece = monomial_basis(n, alg, degree_filter=degree)
+        terms = {}
+        if piece:
+            terms.update(data.draw(st.dictionaries(st.sampled_from(piece), coeff,
+                                                   max_size=6)))
+        terms.update(data.draw(st.dictionaries(
+            st.sampled_from(monomial_basis(n, alg)), coeff, max_size=2)))
+        return FockVector(alg, terms)
+
+    u, v = draw_vector(i), draw_vector(4 * n - i)
+    assert inner_product(u, v) == reference_inner_product(u, v)
+    assert inner_product(v, u) == reference_inner_product(v, u)
+
+
+@pytest.mark.parametrize("case", sorted(PAIRING_CASES))
+def test_gram_and_adjoint_match_the_shape_blind_reference(case):
+    from closure_suites import reference_adjoint_matrix, reference_gram_matrix
+    alg = pairing_algebra(case)
+    _, _, gamma, top = PAIRING_CASES[case]
+    ops = [boundary_d(alg)] + [q(k, alg.basis_element(gamma)) for k in (1, -1, 2, -2)]
+    for n in range(top + 1):
+        for i in range(4 * n + 1):
+            assert gram_matrix(alg, n, i) == reference_gram_matrix(alg, n, i), (n, i)
+            # every source piece whose target is at most the top weight too
+            for f in ops:
+                if n - f.bidegree()[0] <= top:
+                    assert adjoint_matrix(f, (n, i)) == reference_adjoint_matrix(f, (n, i)), \
+                        (f, n, i)
 
 
 # -- truncation --------------------------------------------------------------------

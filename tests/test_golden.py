@@ -1,6 +1,7 @@
-"""Golden stdout of `fockcalc verify` and `fockcalc class`: every suite, B
-and G classes of rational, combined and odd classes, both formats, pinned
-byte for byte together with exit codes, and one nested_bracket_check record.
+"""Golden stdout of `fockcalc verify`, `fockcalc class` and `fockcalc oracle`:
+every suite, B and G classes of rational, combined and odd classes, S_n
+products and closures, both formats, pinned byte for byte together with exit
+codes, and one nested_bracket_check record.
 
 The expected outputs live in golden_verify.json.  After an intended change of
 output, rewrite them with
@@ -41,6 +42,20 @@ CLASS_CASES = {f"{fmt} class {kind} {alg} {gamma}":
                for fmt in ("text", "structured") for kind in ("B", "G")
                for alg, gamma in (("p2", "1/2*h - 3*h2"), ("p1xp1", "f - 1/3*g"),
                                   ("torus_like", "x1"))}
+# the S_n oracle: products built from the character table at n = 5, 9 and,
+# past the default cap, 12; closures of all hook classes and without the
+# two-cycle
+ORACLE_ARGS = {
+    "product n5": ["product", "--n", "5", "--lambda", "2,1,1,1", "--mu", "3,2"],
+    "product n9": ["product", "--n", "9", "--lambda", "2,2,2,2,1", "--mu", "3,3,3"],
+    "product n12": ["product", "--n", "12", "--cap", "12",
+                    "--lambda", "2,2,2,2,2,2", "--mu", "3,3,3,3"],
+    "generate n9": ["generate", "--n", "9"],
+    "generate n6 drop-two-cycle": ["generate", "--n", "6", "--drop-two-cycle"],
+}
+ORACLE_CASES = {f"{fmt} oracle {name}": ["--format", fmt, "oracle"] + argv
+                for fmt in ("text", "structured")
+                for name, argv in ORACLE_ARGS.items()}
 
 
 def run_cli(argv):
@@ -72,6 +87,11 @@ def test_class_stdout_golden(name):
     assert run_cli(CLASS_CASES[name]) == load_golden()["class"][name]
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_oracle_stdout_golden(name):
+    assert run_cli(ORACLE_CASES[name]) == load_golden()["oracle"][name]
+
+
 def test_nested_bracket_check_record_golden():
     assert nested_record() == load_golden()["nested_bracket_check"]
 
@@ -89,6 +109,7 @@ def test_index_free_suites_keep_one_instance():
 if __name__ == "__main__":
     data = {"cli": {name: run_cli(argv) for name, argv in sorted(CASES.items())},
             "class": {name: run_cli(argv) for name, argv in sorted(CLASS_CASES.items())},
+            "oracle": {name: run_cli(argv) for name, argv in sorted(ORACLE_CASES.items())},
             "nested_bracket_check": nested_record()}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)

@@ -26,7 +26,12 @@ from fockcalc import (
     vacuum_unit,
     verify_relations,
 )
-from fockcalc.class_algebra import CentralElement, check_partition, generation_closure
+from fockcalc.class_algebra import (
+    CentralElement,
+    check_partition,
+    class_product,
+    generation_closure,
+)
 from fockcalc.cli import main
 from fockcalc.fock import max_weight, prepend_part, set_max_weight
 from fockcalc.surface import preset_path
@@ -192,6 +197,14 @@ API_REJECTIONS = {
         lambda: check_partition((1, 2)), ValueError, "weakly decreasing"),
     "check_partition with the wrong total": (
         lambda: check_partition((2, 1), 4), ValueError, "not a partition of 4"),
+    "check_partition with a float part": (
+        lambda: check_partition((2.0, 1)), TypeError, "not an int"),
+    "check_partition with a float rank": (
+        lambda: check_partition((2, 1), 3.0), TypeError, "not an int"),
+    "class_product with float parts that sum to n": (
+        lambda: class_product((1.5, 1.5), (2, 1), 3), TypeError, "not an int"),
+    "class_sum with a float part": (
+        lambda: CentralElement.class_sum((2.0, 1)), TypeError, "not an int"),
     "set_max_weight of a float": (
         lambda: set_max_weight(2.5), TypeError, "not an int"),
     "set_max_weight of a string": (
