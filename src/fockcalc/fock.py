@@ -205,14 +205,18 @@ class FockVector(SparseVector):
 def canonicalize(algebra, raw):
     """Build the vector q_{s1}(a1) q_{s2}(a2) ... |0> from raw factor data.
 
-    `raw` is a sequence of (size, AlgebraElement) pairs; the product is
-    expanded multilinearly over the basis and each monomial is reordered with
-    the Koszul sign convention.
+    `raw` is a sequence of (size, AlgebraElement) pairs, each size an int
+    and each class over `algebra`; the product is expanded multilinearly over
+    the basis and each monomial is reordered with the Koszul sign convention.
     """
     raw = list(raw)
-    for size, _ in raw:
+    for size, elem in raw:
+        if size.__class__ is not int:
+            raise TypeError(f"part size {size!r} is not an int")
         if size < 1:
             raise InvalidPart(f"part size {size} < 1")
+        if elem.algebra is not algebra:
+            raise ValueError("a factor's class and the space over different algebras")
     acc = {(): 1}
     for size, elem in reversed(raw):
         nxt = {}

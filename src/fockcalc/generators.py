@@ -38,7 +38,6 @@ from .operators import (
     _sign,
     q,
     supercommutator,
-    zero_operator,
 )
 from .surface import mul
 
@@ -87,10 +86,7 @@ def q1_kth_bracket(k, alpha):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    algebra = alpha.algebra
-    if alpha.is_zero():
-        return zero_operator(algebra, 1, None)
-    return _operator(_q1k_mono, k, alpha, algebra.table_scale ** k, 1, 2 * k,
+    return _operator(_q1k_mono, k, alpha, alpha.algebra.table_scale ** k, 1, 2 * k,
                      f"q_1^({k})({alpha!r})")
 
 
@@ -124,10 +120,12 @@ def apply_formal_g(k, gamma, v):
     Recursion: G_k(gamma)(q_1(b) w) = 1/k! q_1^(k)(gamma b)(w)
                + (-1)^{deg gamma * deg b} q_1(b) G_k(gamma)(w),
     anchored at G_k(gamma)|0> = 0.  DomainError if any part has size >= 2,
-    and ValueError if gamma and v live over different algebras.  The memo
-    images of k! D^k G_k are summed and divided by k! D^k once
+    and ValueError if k < 0 or if gamma and v live over different algebras.
+    The memo images of k! D^k G_k are summed and divided by k! D^k once
     (operators._operator).
     """
+    if k < 0:
+        raise ValueError("k must be >= 0")
     for mono in v.terms:
         if any(s != 1 for s, _ in mono):
             raise DomainError(
@@ -199,13 +197,15 @@ def commutator_expand(g, a, mono, bracket_oracle=None):
     So commutators of depth < a are pushed all the way to the vacuum, and
     depth-a commutators stop in place after their last selected factor.  The
     result equals g applied to the monomial whenever g is fully evaluable;
-    `a` must satisfy 1 <= a <= number of factors.
+    `a` must be an int with 1 <= a <= number of factors.
     """
     algebra = g.algebra
     if g.parity is None:
         raise OracleMissing("expansion needs an operator of known parity")
     parts = tuple(mono)
     b = len(parts)
+    if a.__class__ is not int:
+        raise TypeError(f"a={a!r} is not an int")
     if not 1 <= a <= b:
         raise ValueError(f"need 1 <= a <= {b}, got a={a}")
     if any(s < 1 for s, _ in parts):
@@ -243,14 +243,16 @@ def _nested_bracket_instance(k, gamma, alphas, rows, params):
     Its left side expands into words: [W, q_1(a)] = W q_1(a) - s q_1(a) W,
     with s the Koszul sign.  Equal words are merged before they are composed
     from rows, so with every a_i = 1 the k-fold bracket has k + 1 words."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     alphas = list(alphas)
     if len(alphas) != k + 1:
         raise ValueError(f"need k+1 = {k + 1} classes, got {len(alphas)}")
     prod = mul(gamma, alphas[0])
-    x = rows.op(_q1k_mono, k, prod, rows.algebra.table_scale ** k)
+    x = rows.op(q1_kth_bracket, k, prod)
     words, parity = {(x,): 1}, _grading(prod, 0)[1]
     for a in alphas[1:]:
-        y, y_parity = rows.q(1, a), _grading(a, 0)[1]
+        y, y_parity = rows.op(q, 1, a), _grading(a, 0)[1]
         sign = _sign(parity, y_parity)
         merged = {}
         for word, c in words.items():
@@ -259,7 +261,7 @@ def _nested_bracket_instance(k, gamma, alphas, rows, params):
         prod = mul(prod, a)
     lhs = tuple((word, ratio(c, math.factorial(k))) for word, c in words.items())
     return rows.check(None, params, (lhs, None, None),
-                      (((-1) ** k, rows.q(k + 1, prod)),))
+                      (((-1) ** k, rows.op(q, k + 1, prod)),))
 
 
 def nested_bracket_check(k, gamma, alphas, algebra, max_weight):

@@ -26,12 +26,14 @@ of its words' first ops, and above the sweep weight each step is a kernel
 call adding into the scan's sums.  The heisenberg and LL sweeps compose
 each product once for an instance and its mirror.
 
-Each operator has one kernel, built by _kernel when the operator is made:
+Each operator has one definition, its public constructor: q, virasoro,
+boundary_d and generators' q1_kth_bracket and apply_formal_g pick the memo
+worker and table factor, and _operator builds the one kernel (_kernel),
+sums it over a vector's terms and records the kernel's arguments, from
+which the sweeps' rows are made (_Rows.op).  The kernel is
 fock.prepend_part per class of a creation, fock.annihilate_into for an
 annihilation, and the memo images of L_n, d, q_1^(k) or G_k times the ints
-of the class.  The public q, virasoro, boundary_d and generators'
-q1_kth_bracket and apply_formal_g sum it over a vector's terms (_operator);
-the rows call it on each monomial.  The images of L_n and d on basis
+of the class.  The images of L_n and d on basis
 monomials are memoized in per-algebra tables (fock.memo).  With D =
 algebra.table_scale, the tables hold D L_n and D d, and generators' tables
 D^k q_1^(k) and k! D^k G_k, all in ints on every preset: a public operator
@@ -43,6 +45,7 @@ table raises TruncationExceeded exactly where a cold one would.
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -52,7 +55,7 @@ from ._linalg import axpy
 from ._rat import common_den, exact, ratio, whole
 from .errors import MixedDegree, SingularGram
 from .fock import FockVector, create_into, memo
-from .surface import integral, mul
+from .surface import AlgebraElement, integral, mul
 
 
 def _check_algebras(f, x):
@@ -65,18 +68,20 @@ class LinearOperator:
 
     `shift` is the weight change; `degree` the cohomological degree change
     (None when the operator mixes degrees); `parity` is degree mod 2 and must
-    be known to form a supercommutator.
+    be known to form a supercommutator.  `kernel` holds the _kernel arguments
+    of an operator made by _operator, and None on any other.
     """
 
-    __slots__ = ("algebra", "fn", "shift", "degree", "parity", "name")
+    __slots__ = ("algebra", "fn", "shift", "degree", "parity", "name", "kernel")
 
-    def __init__(self, algebra, fn, shift, degree, parity, name=""):
+    def __init__(self, algebra, fn, shift, degree, parity, name="", kernel=None):
         self.algebra = algebra
         self.fn = fn
         self.shift = shift
         self.degree = degree
         self.parity = parity
         self.name = name
+        self.kernel = kernel
 
     def __call__(self, v):
         _check_algebras(self, v)
@@ -89,17 +94,11 @@ class LinearOperator:
 
     def __add__(self, other):
         _check_algebras(self, other)
-        if self.shift != other.shift:
-            shift = None
-        else:
-            shift = self.shift
-        degree = self.degree if self.degree == other.degree else None
-        parity = self.parity if self.parity == other.parity else None
 
         def fn(terms, a=self.fn, b=other.fn):
             return axpy(a(terms), b(terms))
 
-        return LinearOperator(self.algebra, fn, shift, degree, parity,
+        return LinearOperator(self.algebra, fn, *_joined(self, other, _same),
                               f"({self.name}+{other.name})")
 
     def __sub__(self, other):
@@ -125,20 +124,24 @@ class LinearOperator:
         def fn(terms, a=self.fn, b=other.fn):
             return a(b(terms))
 
-        shift = None
-        if self.shift is not None and other.shift is not None:
-            shift = self.shift + other.shift
-        degree = None
-        if self.degree is not None and other.degree is not None:
-            degree = self.degree + other.degree
-        parity = None
-        if self.parity is not None and other.parity is not None:
-            parity = (self.parity + other.parity) & 1
-        return LinearOperator(self.algebra, fn, shift, degree, parity,
+        return LinearOperator(self.algebra, fn, *_joined(self, other, operator.add),
                               f"{self.name}.{other.name}")
 
     def __repr__(self):
         return f"<operator {self.name or hex(id(self))}>"
+
+
+def _same(x, y):
+    return x if x == y else None
+
+
+def _joined(f, g, join):
+    """(shift, degree, parity) of an operator made of f and g: join of theirs,
+    None where either is None, and the parity taken mod 2."""
+    shift, degree, parity = (None if x is None or y is None else join(x, y)
+                             for x, y in ((f.shift, g.shift), (f.degree, g.degree),
+                                          (f.parity, g.parity)))
+    return shift, degree, None if parity is None else parity & 1
 
 
 def zero_operator(algebra, shift=0, degree=0):
@@ -159,10 +162,8 @@ def supercommutator(f, g):
     def fn(terms, a=f.fn, b=g.fn):
         return axpy(a(b(terms)), b(a(terms)), -sign)
 
-    shift = None if f.shift is None or g.shift is None else f.shift + g.shift
-    degree = None if f.degree is None or g.degree is None else f.degree + g.degree
-    return LinearOperator(f.algebra, fn, shift, degree,
-                          (f.parity + g.parity) & 1, f"[{f.name},{g.name}]")
+    return LinearOperator(f.algebra, fn, *_joined(f, g, operator.add),
+                          f"[{f.name},{g.name}]")
 
 
 # -- Heisenberg operators -----------------------------------------------------
@@ -182,17 +183,18 @@ def _kernel(make, index, alpha, factor, ids):
     """(into, scale): the kernel of make at `index` on alpha, and its scale,
     `factor` times the common denominator of alpha, by which alpha is made
     whole once.  into(acc, mono, c) adds c * scale times the image of mono
-    into acc, without dropping zeros.  make is q or a memo worker whose
-    table holds `factor` times its operator: _virasoro_mono and
+    into acc, without dropping zeros.  make is None for q_index, or a memo
+    worker whose table holds `factor` times its operator: _virasoro_mono and
     _boundary_mono (index None, alpha the unit) D, _q1k_mono D^k, _gk_mono
-    k! D^k; an annihilation's factor is algebra.pairing_den.  The caller
-    looks make up when it makes the operator, not when it applies.  A
+    k! D^k; an annihilation's factor is algebra.pairing_den.  Each public
+    constructor picks make and factor once and records these arguments on
+    its operator (_operator), from which the sweeps' rows are made too.  A
     creation keys its terms by their monomials, the others by ids.get(t, t).
     """
     algebra = alpha.algebra
     den = common_den(alpha.coeffs.values())
     ints = [(c, whole(x * den)) for c, x in alpha.coeffs.items()]
-    if make is not q:
+    if make is not None:
         keyed = tuple((() if index is None else (index, c), x) for c, x in ints)
 
         def into(acc, mono, c):
@@ -223,9 +225,12 @@ def _kernel(make, index, alpha, factor, ids):
 
 def _operator(make, index, alpha, factor, shift, offset, name):
     """The public operator of _kernel(make, index, alpha, factor), of grading
-    _grading(alpha, offset): it sums the kernel over the terms and divides
-    by the scale once, a whole quotient of ints staying an int and any other
-    going through ratio; at scale 1 the sum is returned as it is."""
+    _grading(alpha, offset), recording those arguments: it sums the kernel
+    over the terms and divides by the scale once, a whole quotient of ints
+    staying an int and any other going through ratio; at scale 1 the sum is
+    returned as it is.  The index must be an int (None for d)."""
+    if index is not None and index.__class__ is not int:
+        raise TypeError(f"index {index!r} is not an int")
     into, scale = _kernel(make, index, alpha, factor, {})
 
     def fn(terms):
@@ -237,14 +242,13 @@ def _operator(make, index, alpha, factor, shift, offset, name):
         return {m: c // scale if c.__class__ is int and not c % scale
                 else ratio(c, scale) for m, c in acc.items() if c}
 
-    return LinearOperator(alpha.algebra, fn, shift, *_grading(alpha, offset), name)
+    return LinearOperator(alpha.algebra, fn, shift, *_grading(alpha, offset), name,
+                          (make, index, alpha, factor))
 
 
 def q(n, alpha):
-    """The Heisenberg operator q_n(alpha); q_0 is the zero operator."""
-    if n == 0 or alpha.is_zero():
-        return zero_operator(alpha.algebra, n, _grading(alpha, 2 * (n - 1))[0])
-    return _operator(q, n, alpha, alpha.algebra.pairing_den if n < 0 else 1,
+    """The Heisenberg operator q_n(alpha); q_0 and q_n(0) are zero maps."""
+    return _operator(None, n, alpha, alpha.algebra.pairing_den if n < 0 else 1,
                      n, 2 * (n - 1), f"q_{n}({alpha!r})")
 
 
@@ -685,10 +689,11 @@ class _Rows:
     and any other by itself.  An op's table holds its rows on every sweep
     monomial from the moment it is made (_Op), and its keys the sweep
     monomials whose row is not empty; nothing above the sweep weight is
-    kept, so the tables are bounded by the sweep weight.  Every row, tabled
-    or not, comes from the op's kernel.  No op or kernel refers to the
-    _Rows: a cycle through `ops` would keep every row alive until a garbage
-    collection.
+    kept, so the tables are bounded by the sweep weight.  Every op is made
+    from an operator a public constructor returns (op), and every row,
+    tabled or not, comes from that operator's kernel.  No op or kernel
+    refers to the _Rows: a cycle through `ops` would keep every row alive
+    until a garbage collection.
     `kept` holds, per slot pair, the images a first instance keeps until its
     mirror pops them (bracket).
     """
@@ -700,22 +705,19 @@ class _Rows:
         self.ids = {mono: k for k, mono in enumerate(self.monomials)}
         self.ops, self.kept = {}, {}
 
-    def op(self, make, index, alpha, factor=1):
-        """The op of _kernel(make, index, alpha, factor), with its table; made
-        once per sweep, and kept in `ops`."""
-        key = (make, index, frozenset(alpha.coeffs.items()), factor)
+    def op(self, make, *args):
+        """The op of the operator make(*args), where make is q, virasoro,
+        boundary_d or generators' q1_kth_bracket, with its table.  It is
+        keyed by make and its arguments, a class by its coefficients, so
+        make is called, and the op tabled from the _kernel arguments its
+        operator records, once per sweep; the op is kept in `ops`."""
+        key = (make, *[frozenset(a.coeffs.items()) if a.__class__ is AlgebraElement
+                       else a for a in args])
         if key not in self.ops:
-            _check_algebras(self, alpha)
-            self.ops[key] = _Op(self, *_kernel(make, index, alpha, factor, self.ids))
+            g = make(*args)
+            _check_algebras(self, g)
+            self.ops[key] = _Op(self, *_kernel(*g.kernel, self.ids))
         return self.ops[key]
-
-    def q(self, n, alpha):
-        """q_n(alpha); annihilations are scaled by the pairing's denominator."""
-        return self.op(q, n, alpha, self.algebra.pairing_den if n < 0 else 1)
-
-    def virasoro(self, n, alpha):
-        """L_n(alpha), scaled by D as its memo table is."""
-        return self.op(_virasoro_mono, n, alpha, self.algebra.table_scale)
 
     def row(self, op, mono):
         """op's row on a monomial: its kernel on an empty dict, as a tuple of
@@ -765,7 +767,7 @@ def _slot_pairs(rows, ops, idx, classes):
 
 def _heisenberg(algebra, bound, classes, max_weight):
     rows, idx = _Rows(algebra, max_weight), _index_range(bound)
-    ops = {(n, i): rows.q(n, a) for n in idx for i, a in enumerate(classes)}
+    ops = {(n, i): rows.op(q, n, a) for n in idx for i, a in enumerate(classes)}
     for n, m, a, b, pair, lhs in _slot_pairs(rows, ops, idx, classes):
         central = n * integral(mul(a, b)) if n + m == 0 else 0
         yield rows.check(*pair, lhs, (), central)
@@ -776,34 +778,34 @@ def _lq(algebra, bound, classes, max_weight):
     named = [(a, repr(a)) for a in classes]
     for n, m, (a, ra), (b, rb) in itertools.product(idx, idx, named, named):
         if m:
-            lhs = rows.bracket(rows.virasoro(n, a), rows.q(m, b),
+            lhs = rows.bracket(rows.op(virasoro, n, a), rows.op(q, m, b),
                                _sign(_grading(a, 0)[1], _grading(b, 0)[1]))
             yield rows.check(*_pair(n, m, ra, rb), lhs,
-                             ((-m, rows.q(n + m, mul(a, b))),))
+                             ((-m, rows.op(q, n + m, mul(a, b))),))
 
 
 def _ll(algebra, bound, classes, max_weight):
     rows, idx = _Rows(algebra, max_weight), range(-bound, bound + 1)
-    ops = {(n, i): rows.virasoro(n, a) for n in idx for i, a in enumerate(classes)}
+    ops = {(n, i): rows.op(virasoro, n, a) for n in idx for i, a in enumerate(classes)}
     for n, m, a, b, pair, lhs in _slot_pairs(rows, ops, idx, classes):
         ab = mul(a, b)
         central = 0
         if n + m == 0:
             central = -ratio(n ** 3 - n, 12) * integral(mul(algebra.euler, ab))
-        rhs = ((n - m, rows.virasoro(n + m, ab)),) if n != m else ()
+        rhs = ((n - m, rows.op(virasoro, n + m, ab)),) if n != m else ()
         yield rows.check(*pair, lhs, rhs, central)
 
 
 def _qprime(algebra, bound, classes, max_weight):
     rows = _Rows(algebra, max_weight)
-    d = rows.op(_boundary_mono, None, algebra.unit(), algebra.table_scale)
+    d = rows.op(boundary_d, algebra)
     named = [(a, repr(a)) for a in classes]
     for n, (a, ra) in itertools.product(_index_range(bound), named):
         k_scale = n * (abs(n) - 1) // 2
-        rhs = ((n, rows.virasoro(n, a)),)
+        rhs = ((n, rows.op(virasoro, n, a)),)
         if k_scale:
-            rhs += ((k_scale, rows.q(n, mul(algebra.canonical_class, a))),)
-        lhs = rows.bracket(d, rows.q(n, a), _sign(0, _grading(a, 0)[1]))
+            rhs += ((k_scale, rows.op(q, n, mul(algebra.canonical_class, a))),)
+        lhs = rows.bracket(d, rows.op(q, n, a), _sign(0, _grading(a, 0)[1]))
         yield rows.check(f"n={n}", {"n": n, "alpha": ra}, lhs, rhs)
 
 
@@ -817,6 +819,9 @@ def _index_suite(instances, default_bound, even=False):
             classes = (algebra.even_basis_elements() if even
                        else algebra.basis_elements())
         classes = list(classes)
+        # _Rows.op keys a class by its coefficients alone
+        if any(a.algebra is not algebra for a in classes):
+            raise ValueError("classes over different algebras")
         return ({"max_index": bound, "classes": len(classes)},
                 instances(algebra, bound, classes, max_weight))
 
@@ -831,23 +836,21 @@ def _sample_colors(algebra, picks):
 
 
 def _expansion(algebra, max_weight):
-    """For each g, its op on the right, made with its three instances and
-    not kept in rows.ops, and, per a <= 3, an op of scale 1 on the left whose
-    kernel adds commutator_expand(g, a, v), one bracket oracle per g, on the
-    monomials v with at least a parts, which alone are checked.  Those rows
-    are never made whole, so a wrong expansion is a discrepancy."""
+    """For each g, its op on the right, made from g.kernel with its three
+    instances and not kept in rows.ops, and, per a <= 3, an op of scale 1 on
+    the left whose kernel adds commutator_expand(g, a, v), one bracket oracle
+    per g, on the monomials v with at least a parts, which alone are checked.
+    Those rows are never made whole, so a wrong expansion is a discrepancy."""
     # generators imports this module, so it is imported at call time
     from .generators import commutator_expand, default_bracket_oracle
 
-    rows, unit, scale = _Rows(algebra, max_weight), algebra.unit(), algebra.table_scale
+    rows = _Rows(algebra, max_weight)
     sample = [algebra.basis_element(c) for c in
               _sample_colors(algebra, (0, 1, algebra.dim // 2, algebra.dim - 1))]
-    gs = [(q(2, e), (q, 2, e, 1)) for e in sample]
-    gs += [(virasoro(1, e), (_virasoro_mono, 1, e, scale)) for e in sample]
-    gs += [(virasoro(0, unit), (_virasoro_mono, 0, unit, scale)),
-           (boundary_d(algebra), (_boundary_mono, None, unit, scale))]
-    for g, kernel in gs:
-        right, oracle = _Op(rows, *_kernel(*kernel, rows.ids)), default_bracket_oracle(g)
+    gs = [q(2, e) for e in sample] + [virasoro(1, e) for e in sample]
+    for g in gs + [virasoro(0, algebra.unit()), boundary_d(algebra)]:
+        right = _Op(rows, *_kernel(*g.kernel, rows.ids))
+        oracle = default_bracket_oracle(g)
         for a in (1, 2, 3):
             def into(acc, mono, c, g=g, a=a, oracle=oracle):
                 if len(mono) >= a:

@@ -435,12 +435,13 @@ def test_index_free_suites_reject_index_options(torus, suite):
 
 def test_suites_reject_classes_of_another_algebra(p2, p1xp1, torus):
     # a class read by basis index on the sweep's algebra would pass or fail
-    # for nothing (torus_like on p2), or index past its basis (p1xp1)
-    x1 = torus.basis_element("x1")
-    for cls in (x1, p1xp1.basis_element("fg")):
+    # for nothing (torus_like on p2), or index past its basis (p1xp1); f on
+    # p1xp1 has the coefficients of h on p2, and once shared its ops
+    x1, f = torus.basis_element("x1"), p1xp1.basis_element("f")
+    for classes in ([x1], [p1xp1.basis_element("fg")], [p2.basis_element("h"), f]):
         for suite in ("heisenberg", "Lq", "LL", "qprime"):
             with pytest.raises(ValueError, match="different algebras"):
-                verify_relations(suite, p2, max_weight=2, max_index=1, classes=[cls])
+                verify_relations(suite, p2, max_weight=2, max_index=1, classes=classes)
     with pytest.raises(ValueError, match="different algebras"):
         nested_bracket_check(1, x1, [torus.unit()] * 2, p2, 2)
 
@@ -539,7 +540,7 @@ def test_check_driver_reports_a_false_identity(p2):
     keys = list(range(0, len(rows.monomials), 2))
     failed = {}
     for n in (1, -1):
-        op = rows.q(n, h)
+        op = rows.op(q, n, h)
         half = rows.check("half", {"n": n}, ((((op,), 1),), None, None),
                           ((2, op),), 0, keys)
         want = [(v, {m: -c for m, c in q(n, h).fn({v: 1}).items()})
@@ -912,7 +913,7 @@ def test_annihilation_weights_on_rational_classes(monkeypatch, name, scale, suit
     classes = [parse_element(alg, t) for t in texts]
     rows = _Rows(alg, 1)
     for alpha, n in itertools.product(classes, (1, 2)):
-        op = rows.q(-n, alpha)
+        op = rows.op(q, -n, alpha)
         assert op.scale > 1
         weights = [dict(rows.row(op, ((n, c),))).get(0, 0) for c in range(alg.dim)]
         assert weights == [-n * integral(mul(alpha, alg.basis_element(c))) * op.scale
@@ -1036,6 +1037,33 @@ def test_expansion_rows_match_the_closure_path(monkeypatch, p2, torus):
             got = verify_relations("expansion", alg, max_weight=max_weight).to_record()
             assert got == closure_record("expansion", alg, max_weight), alg.name
             assert got["passed"] is (mutant is None), alg.name
+
+
+def test_sweeps_check_the_operators_the_constructors_return(monkeypatch, p2):
+    # every op of a sweep is tabled from the operator its public constructor
+    # returns: L_n, d and q_1^(k) made with table factor 1 (images D, D and
+    # D^k times too large) and a q whose annihilations double their class
+    # each fail a suite that passes with the clean constructor
+    from fockcalc import generators, operators
+    clean_q = operators.q
+
+    mutants = (
+        (operators, "virasoro", lambda n, alpha: operators._operator(
+            operators._virasoro_mono, n, alpha, 1, n, 2 * n, f"L_{n}({alpha!r})"),
+         "Lq"),
+        (operators, "boundary_d", lambda alg: operators._operator(
+            operators._boundary_mono, None, alg.unit(), 1, 0, 2, "d"), "qprime"),
+        (generators, "q1_kth_bracket", lambda k, alpha: operators._operator(
+            generators._q1k_mono, k, alpha, 1, 1, 2 * k, f"q_1^({k})({alpha!r})"),
+         "nested_bracket"),
+        (operators, "q", lambda n, alpha: clean_q(n, alpha.scale(2) if n < 0 else alpha),
+         "heisenberg"))
+    for module, name, mutant, suite in mutants:
+        kwargs = {} if suite == "nested_bracket" else {"max_index": 1}
+        assert verify_relations(suite, p2, max_weight=2, **kwargs).passed, name
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, mutant)
+            assert not verify_relations(suite, p2, max_weight=2, **kwargs).passed, name
 
 
 def test_every_kept_image_is_read_once(monkeypatch, p2, torus):
@@ -1166,19 +1194,18 @@ def test_q_rows_match_the_operator_images(name, scale, texts):
     # odd classes of torus_like bring Koszul signs, and p2 at int(h2) = 2/3 a
     # pairing with a denominator
     from closure_suites import fresh_algebra, reference_q
-    from fockcalc.generators import _q1k_mono, q1_kth_bracket
-    from fockcalc.operators import _Rows, _boundary_mono
+    from fockcalc.generators import q1_kth_bracket
+    from fockcalc.operators import _Rows
     alg = fresh_algebra(name, scale)
-    rows, table_scale = _Rows(alg, 1), alg.table_scale
+    rows = _Rows(alg, 1)
     above = [m for w in (2, 3) for m in monomial_basis(w, alg)]
-    d = rows.op(_boundary_mono, None, alg.unit(), table_scale)
+    d = rows.op(boundary_d, alg)
     cases = [(d, boundary_d(alg) * d.scale)]
     for text in texts:
         alpha = parse_element(alg, text)
-        ops = [(reference_q, n, rows.q(n, alpha)) for n in (-2, -1, 1, 2)]
-        ops += [(virasoro, n, rows.virasoro(n, alpha)) for n in (-1, 0, 2)]
-        ops += [(q1_kth_bracket, k, rows.op(_q1k_mono, k, alpha, table_scale ** k))
-                for k in (1, 2)]
+        ops = [(reference_q, n, rows.op(q, n, alpha)) for n in (-2, -1, 1, 2)]
+        ops += [(virasoro, n, rows.op(virasoro, n, alpha)) for n in (-1, 0, 2)]
+        ops += [(q1_kth_bracket, k, rows.op(q1_kth_bracket, k, alpha)) for k in (1, 2)]
         cases += [(op, make(i, alpha.scale(op.scale))) for make, i, op in ops]
     for op, operator in cases:
         image = operator.fn

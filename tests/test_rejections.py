@@ -20,11 +20,13 @@ from fockcalc import (
     load_algebra,
     load_preset,
     monomial_basis,
+    nested_bracket_check,
     parse_element,
     q,
     q1_kth_bracket,
     vacuum_unit,
     verify_relations,
+    virasoro,
 )
 from fockcalc.class_algebra import (
     CentralElement,
@@ -155,12 +157,23 @@ def _h():
     return _p2().basis_element("h")
 
 
+def _q1_squared():
+    """The p2 vector q_1(1)^2|0>."""
+    p2 = _p2()
+    return canonicalize(p2, [(1, p2.unit())] * 2)
+
+
 def _formal_g_across_algebras(gamma_id):
     """G_1 of a p1xp1 class on the p2 vector q_1(1)^2|0>, which once read the
     class's colour indices in p2 (-q_2(h)|0> for f, IndexError for fg)."""
-    p2 = _p2()
-    v = canonicalize(p2, [(1, p2.unit())] * 2)
-    return apply_formal_g(1, load_preset("p1xp1").basis_element(gamma_id), v)
+    gamma = load_preset("p1xp1").basis_element(gamma_id)
+    return apply_formal_g(1, gamma, _q1_squared())
+
+
+def _canonicalize_across_algebras(gamma_id):
+    """q_1 of a p1xp1 class in the p2 Fock space, which once read the class's
+    colour indices in p2 (q_1(h)|0> for f, IndexError for fg)."""
+    return canonicalize(_p2(), [(1, load_preset("p1xp1").basis_element(gamma_id))])
 
 
 # case: (action, exception class, message fragment)
@@ -189,6 +202,30 @@ API_REJECTIONS = {
     "apply_formal_g across algebras, colour past the other's basis": (
         lambda: _formal_g_across_algebras("fg"), ValueError,
         "operators over different algebras"),
+    "apply_formal_g with k < 0": (
+        lambda: apply_formal_g(-1, _h(), _q1_squared()), ValueError, "k must be"),
+    "nested_bracket_check with k < 0": (
+        lambda: nested_bracket_check(-1, _h(), [], _p2(), 2), ValueError, "k must be"),
+    "q of a float index": (
+        lambda: q(1.5, _h()), TypeError, "not an int"),
+    "q of a bool index": (
+        lambda: q(True, _h()), TypeError, "not an int"),
+    "virasoro of a whole float index": (
+        lambda: virasoro(1.0, _h()), TypeError, "not an int"),
+    "q1_kth_bracket of a float k": (
+        lambda: q1_kth_bracket(1.5, _h()), TypeError, "not an int"),
+    "commutator_expand with a float a": (
+        lambda: commutator_expand(q(1, _h()), 1.5, ((1, 0), (1, 0))), TypeError,
+        "not an int"),
+    "canonicalize with a float part": (
+        lambda: canonicalize(_p2(), [(1.5, _h())]), TypeError, "not an int"),
+    "canonicalize with a whole float part": (
+        lambda: canonicalize(_p2(), [(2.0, _h())]), TypeError, "not an int"),
+    "canonicalize across algebras": (
+        lambda: _canonicalize_across_algebras("f"), ValueError, "different algebras"),
+    "canonicalize across algebras, colour past the other's basis": (
+        lambda: _canonicalize_across_algebras("fg"), ValueError,
+        "different algebras"),
     "inner_product across algebras": (
         lambda: inner_product(FockVector.vacuum(_p2()),
                               FockVector.vacuum(load_preset("p1xp1"))),
