@@ -13,7 +13,8 @@ q_1-span by its bracket with q_1:
 
 which unrolls to the recursion implemented in apply_formal_g.  Outside the
 q_1-span the operator is not determined by these relations and we refuse to
-guess (DomainError).
+guess (DomainError).  q_1^(k) is the k-fold bracket of q_1 with d, and
+q_1^(1) = L_1 by d's rule on a creation, d(q_1(a) w) = L_1(a) w + q_1(a) dw.
 
 Also here: the generic expansion of g(q_{m_1}(b_1) ... q_{m_b}(b_b)|0>) into
 iterated commutators (commutator_expand), the nested-bracket identity checker
@@ -36,6 +37,7 @@ from .operators import (
     _grading,
     _operator,
     _sign,
+    _virasoro_mono,
     q,
     supercommutator,
 )
@@ -80,9 +82,10 @@ def b_class(i, gamma, n):
 def q1_kth_bracket(k, alpha):
     """The operator q_1^(k)(alpha): k-fold derivative of q_1(alpha).
 
-    q_1^(0) = q_1, q_1^(1) = L_1.  Applications on monomials are memoized per
-    algebra and basis color, as D^k q_1^(k) in ints (D = table_scale), and
-    the summed image is divided by D^k once (operators._operator).
+    q_1^(0) = q_1, and q_1^(1) = L_1 by d's defining rule (its images are the
+    L table's).  Applications on monomials are memoized per algebra and basis
+    color, as D^k q_1^(k) in ints (D = table_scale), and the summed image is
+    divided by D^k once (operators._operator).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -93,20 +96,15 @@ def q1_kth_bracket(k, alpha):
 @memo("q1k")
 def _q1k_mono(algebra, k, color, mono):
     """D^k q_1^(k)(e_color) applied to one monomial, D = algebra.table_scale:
-    the recursion [D d, D^(k-1) q_1^(k-1)] on the D d images keeps it whole.
-    No k = 0 image is kept for an intermediate: k = 1 applies q_1 to the
-    memoized d images directly."""
-    hit = fock.prepend_part(mono, 1, color, algebra) if k < 2 else None
+    k = 1 is the L table's D L_1(e_color) image, as d's defining rule has no
+    K term at i = 1, and k >= 2 the recursion [D d, D^(k-1) q_1^(k-1)]."""
     if k == 0:
+        hit = fock.prepend_part(mono, 1, color, algebra)
         return {} if hit is None else {hit[0]: hit[1]}
-    acc = {}
     if k == 1:
-        # d(q_1 mono) - q_1(d mono)
-        if hit is not None:
-            axpy(acc, _boundary_mono(algebra, hit[0]), hit[1])
-        fock.create_into(acc, 1, color, _boundary_mono(algebra, mono), -1, algebra)
-        return acc
+        return _virasoro_mono(algebra, 1, color, mono)
     # [d, q_1^(k-1)](mono) = d(q1^(k-1) mono) - q1^(k-1)(d mono)
+    acc = {}
     for m, c in _q1k_mono(algebra, k - 1, color, mono).items():
         axpy(acc, _boundary_mono(algebra, m), c)
     for m, c in _boundary_mono(algebra, mono).items():

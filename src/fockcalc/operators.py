@@ -915,13 +915,18 @@ def verify_relations(suite, algebra, *, max_weight, max_index=None,
     pairs of `classes`, which default to the full basis (even basis only for
     "LL"); "expansion" and "nested_bracket" take neither, and ValueError is
     raised when either is given.  Checks run on every basis monomial of
-    weight <= max_weight; a sweep left with no check raises ValueError.
+    weight <= max_weight; a sweep left with no check raises ValueError, and
+    a max_weight or max_index (when given) that is not an int raises TypeError.
 
     Every sweep runs on one thread.  `jobs` is kept only so that callers
     still passing jobs=1 keep working; any other value raises ValueError.
     """
     if jobs != 1:
         raise ValueError(f"jobs={jobs!r}: sweeps run on one thread, so jobs must be 1")
+    if max_weight.__class__ is not int:
+        raise TypeError(f"max_weight={max_weight!r} is not an int")
+    if max_index is not None and max_index.__class__ is not int:
+        raise TypeError(f"max_index={max_index!r} is not an int")
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if suite in INDEX_FREE:

@@ -11,6 +11,9 @@ keeps what they replaced, as sn_enumeration.py keeps the enumerated S_n rows:
   operators and rows share (operators._kernel);
 - triple_virasoro_mono: L_n(e_color) on one monomial, applied triple by
   triple through those kernels in every branch;
+- reference_q1k_mono: D q_1^(1)(e_color) on one monomial as the difference
+  D d(q_1 m) - q_1(D d m), which fills d one weight up only to cancel most
+  of it, where the engine reads the L table's D L_1(e_color) image;
 - Instance: an identity checked one monomial at a time through closures;
 - closure_record: a suite's Report.to_record() built from Instances of
   supercommutator, virasoro, reference_q and derivative maps, and for the expansion
@@ -94,6 +97,19 @@ def triple_virasoro_mono(algebra, n, color, mono, diagonal=1):
             if inner:
                 outer(acc, size1, u, inner, scale, algebra)
     return {m: ratio(c, 2) for m, c in acc.items()}
+
+
+def reference_q1k_mono(algebra, color, mono):
+    """D q_1^(1)(e_color) applied to one monomial, D = algebra.table_scale,
+    as the bracket of q_1(e_color) with the d table's D d images: D d(q_1
+    mono) - q_1(D d mono)."""
+    boundary = operators._boundary_mono
+    acc = {}
+    hit = fock.prepend_part(mono, 1, color, algebra)
+    if hit is not None:
+        axpy(acc, boundary(algebra, hit[0]), hit[1])
+    fock.create_into(acc, 1, color, boundary(algebra, mono), -1, algebra)
+    return acc
 
 
 def fresh_algebra(name, integral_scale=1):

@@ -96,6 +96,27 @@ def test_q1k_keeps_no_creation_images(p2):
     assert {key[0] for key in alg._op_caches["q1k"]} == {1, 2}
 
 
+@pytest.mark.parametrize("name, scale, max_weight", (
+    ("p2", 1, 3), ("p1xp1", 1, 3), ("torus_like", 1, 2), ("point", 1, 3),
+    ("p2", Rat(2, 3), 3), ("torus_like", Rat(-1, 2), 2), ("p1xp1", Rat(5, 7), 3)))
+def test_q1k_first_bracket_is_the_cancelling_difference(name, scale, max_weight):
+    # the q1k table's k = 1 image is the L table's D L_1(e_c), equal in value
+    # and coefficient type to D d(q_1 m) - q_1(D d m) on every colour and
+    # monomial, odd classes and rational pairings included
+    from closure_suites import fresh_algebra, reference_q1k_mono
+    from fockcalc.generators import _q1k_mono
+    alg = fresh_algebra(name, scale)
+
+    def typed(image):
+        return {m: (c.__class__, c) for m, c in image.items()}
+
+    for w in range(max_weight + 1):
+        for mono in monomial_basis(w, alg):
+            for c in range(alg.dim):
+                assert typed(_q1k_mono(alg, 1, c, mono)) == typed(
+                    reference_q1k_mono(alg, c, mono)), (alg.name, c, mono)
+
+
 def test_formal_g_engine(p2):
     one, h = p2.unit(), p2.basis_element("h")
     # G_k(gamma)|0> = 0

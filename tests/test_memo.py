@@ -2,7 +2,8 @@
 change what a call does under the weight cap: a warm table behaves as a cold
 one, and after the cap is restored the values match a fresh algebra's.
 
-Also: L_n needs no cap above the weights of its input and its result."""
+Also: L_n needs no cap above the weights of its input and its result, and
+q_1^(1), which reads the L table, fills no d table."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from fockcalc import (
     apply_formal_g,
     boundary_d,
     canonicalize,
+    g_class,
     load_algebra,
     q1_kth_bracket,
     set_max_weight,
@@ -46,6 +48,10 @@ def d(v):
     return boundary_d(v.algebra)(v)
 
 
+def q1_first_bracket(v):
+    return q1_kth_bracket(1, v.algebra.basis_element("h"))(v)
+
+
 def q1_second_bracket(v):
     return q1_kth_bracket(2, v.algebra.basis_element("h"))(v)
 
@@ -61,6 +67,7 @@ CASES = {
     "virasoro": (weight3, l1_unit, 3),
     "boundary_d": (weight3, d, 2),
     "q1_kth_bracket": (weight2, q1_second_bracket, 2),
+    "q1_kth_bracket k = 1": (weight2, q1_first_bracket, 2),
     "g_class": (unit_cube, g2_class, 2),
 }
 
@@ -131,3 +138,14 @@ def test_lower_cap_after_another_algebra_raises_as_cold(name):
     finally:
         set_max_weight(previous)
     assert exact_terms(call(va)) == exact_terms(call(build(fresh_p2())))
+
+
+@pytest.mark.parametrize("call", (
+    lambda alg: q1_first_bracket(weight3(alg)),
+    lambda alg: g_class(1, alg.basis_element("h"), 4)), ids=("q1_kth_bracket", "g_class"))
+def test_first_bracket_fills_no_d_table(call):
+    # q_1^(1) = L_1 reads the L table, so neither q_1^(1) nor G_1, whose
+    # recursion reads q_1^(1) only, fills d
+    alg = fresh_p2()
+    call(alg)
+    assert alg._op_caches.get("L") and not alg._op_caches.get("d")

@@ -628,9 +628,9 @@ def _order_central(monkeypatch, algebras):
 
 def _double_l_diagonal(monkeypatch, algebras):
     # L_n with its diagonal term m = n - m weighted 2 in place of 1, times D
-    # as the L table holds it
+    # as the L table holds it, also where q_1^(1) reads it
     from closure_suites import triple_virasoro_mono
-    from fockcalc import operators
+    from fockcalc import generators, operators
     images = {}
 
     def doubled(algebra, n, color, mono):
@@ -641,6 +641,7 @@ def _double_l_diagonal(monkeypatch, algebras):
         return images[key]
 
     monkeypatch.setattr(operators, "_virasoro_mono", doubled)
+    monkeypatch.setattr(generators, "_virasoro_mono", doubled)
 
 
 def _shift_boundary_k(monkeypatch, algebras):

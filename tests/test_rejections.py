@@ -181,6 +181,18 @@ API_REJECTIONS = {
     "verify_relations of an unknown suite": (
         lambda: verify_relations("nope", _p2(), max_weight=1), ValueError,
         "unknown suite"),
+    "verify_relations of a bool max_weight": (
+        lambda: verify_relations("heisenberg", _p2(), max_weight=True), TypeError,
+        "max_weight=True is not an int"),
+    "verify_relations of a float max_weight": (
+        lambda: verify_relations("heisenberg", _p2(), max_weight=2.0), TypeError,
+        "max_weight=2.0 is not an int"),
+    "verify_relations of a bool max_index": (
+        lambda: verify_relations("heisenberg", _p2(), max_weight=2, max_index=True),
+        TypeError, "max_index=True is not an int"),
+    "verify_relations of a float max_index": (
+        lambda: verify_relations("heisenberg", _p2(), max_weight=2, max_index=1.0),
+        TypeError, "max_index=1.0 is not an int"),
     "prepend_part of size 0": (
         lambda: prepend_part((), 0, 0, _p2()), InvalidPart, "part size 0"),
     "monomial_basis of negative weight": (
