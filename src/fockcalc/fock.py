@@ -11,9 +11,10 @@ on); cohomological degree is sum(2*(size-1) + deg color).
 
 The kernels of every operator step are here: prepend_part inserts one
 creation part, and annihilate_into walks the parts an annihilation removes;
-create_into and contract_into apply them over {mono: c} terms.  memo keeps
-the per-monomial images of the operator workers in the tables of one
-algebra at a time, under one weight cap.
+create_into and contract_into apply them over {mono: c} terms.  covector,
+the one mechanism of the bilinear form, inserts parts too.  memo keeps the
+per-monomial images of the operator workers and the covectors in the tables
+of one algebra at a time, under one weight cap.
 """
 
 import functools
@@ -72,7 +73,11 @@ def prepend_part(mono, size, color, algebra):
             and weight(mono) + size > _MAX_WEIGHT):
         raise TruncationExceeded(
             f"monomial weight would exceed the cap {_MAX_WEIGHT}")
-    parities = algebra.parities
+    return _insert_part(mono, size, color, algebra.parities)
+
+
+def _insert_part(mono, size, color, parities):
+    """prepend_part without its checks: (monomial, Koszul sign), or None."""
     odd = parities[color]
     pos = 0
     crossings = 0
@@ -148,7 +153,7 @@ def memo(kind):
 
     With D = algebra.table_scale, the tables L, d, q1k and gk hold D L_n,
     D d and D^k q_1^(k), all in ints, and k! D^k G_k; the public operators
-    divide by that factor once (operators._operator).
+    divide by that factor once (operators._operator); pair holds covectors.
 
     A call under another algebra or cap than the live one's (_LIVE) first
     empties the live tables, so one algebra holds images at a time, and a
@@ -270,47 +275,39 @@ def monomial_basis(n, algebra, degree_filter=None):
 
 
 def inner_product(u, v):
-    """The bilinear form, computed by turning creations into annihilations.
-
-    The leading factor q_n(c) of the left argument moves across as
-    (-1)^(n + m * deg rest) q_{-n}(c), with m the operator degree of the
-    factor.  Nonzero only when degrees are complementary (deg u + deg v =
-    4 * weight) and, monomial by monomial, part sizes agree: each annihilation
-    removes a part of its own size.  So every term of u is paired only with
-    the terms of v of its shape, its tuple of part sizes.
-    """
+    """The bilinear form: the sum over the terms u[a] of u[a] (a, v), with
+    (a, v) the sum of <a, b> v[b] over the covector of a."""
     if u.algebra is not v.algebra:
         raise ValueError("vectors over different algebras")
-    alg = u.algebra
-    by_shape = {}
-    for mono, c in v.terms.items():
-        by_shape.setdefault(shape(mono), {})[mono] = c
-    total = 0
-    for mono, cu in u.terms.items():
-        group = by_shape.get(shape(mono))
-        if group:
-            total += cu * _pair_mono(mono, group, alg)
-    return total
+    alg, right = u.algebra, v.terms
+    return sum(cu * sum(x * right[b] for b, x in covector(alg, a).items() if b in right)
+               for a, cu in u.terms.items())
 
 
-def shape(mono):
-    """The part sizes of a canonical monomial, largest first."""
-    return tuple([s for s, _ in mono])
+@memo("pair")
+def covector(algebra, mono):
+    """{b: <mono, b>} over the monomials b that pair with mono to nonzero.
 
-
-def _pair_mono(mono, right_terms, alg):
-    if not right_terms:
-        return 0
+    The leading part q_s(c) of mono moves across the form as
+    (-1)^(s + m * deg rest) q_{-s}(c), m its operator degree, and removes a
+    part (s, p) of b with the factor -s int(e_c e_p) and its Koszul sign.  So
+    each part (s, p) of nonzero pairing is inserted into the covector of rest,
+    times its multiplicity in the result, whose equal copies it removes
+    alike.  b has the weight of mono: the insertions skip the cap check.
+    """
     if not mono:
-        return right_terms.get((), 0)
-    size, color = mono[0]
-    rest = mono[1:]
-    m_deg = 2 * (size - 1) + alg.degrees[color]
-    sign_exp = size + m_deg * degree(rest, alg)
+        return {(): 1}
+    (size, color), rest = mono[0], mono[1:]
+    m_deg = 2 * (size - 1) + algebra.degrees[color]
+    scale = size if (size + m_deg * degree(rest, algebra)) & 1 else -size
     acc = {}
-    contract_into(acc, size, color, right_terms, 1, alg)
-    val = _pair_mono(rest, acc, alg)
-    return -val if sign_exp & 1 else val
+    for b, y in covector(algebra, rest).items():
+        for p, x in enumerate(algebra.pairing[color]):
+            hit = x and _insert_part(b, size, p, algebra.parities)
+            if hit:
+                new = hit[0]
+                acc[new] = acc.get(new, 0) + hit[1] * new.count((size, p)) * scale * x * y
+    return {b: x for b, x in acc.items() if x}
 
 
 # -- rendering ----------------------------------------------------------------

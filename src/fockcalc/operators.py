@@ -228,12 +228,17 @@ def _operator(make, index, alpha, factor, shift, offset, name):
     _grading(alpha, offset), recording those arguments: it sums the kernel
     over the terms and divides by the scale once, a whole quotient of ints
     staying an int and any other going through ratio; at scale 1 the sum is
-    returned as it is.  The index must be an int (None for d)."""
+    returned as it is.  The index must be an int (None for d).  The kernel is
+    built on the first call: a sweep builds its own (_Rows.op)."""
     if index is not None and index.__class__ is not int:
         raise TypeError(f"index {index!r} is not an int")
-    into, scale = _kernel(make, index, alpha, factor, {})
+    kernel = None
 
     def fn(terms):
+        nonlocal kernel
+        if kernel is None:
+            kernel = _kernel(make, index, alpha, factor, {})
+        into, scale = kernel
         acc = {}
         for mono, c in terms.items():
             into(acc, mono, c)
@@ -371,19 +376,14 @@ def gram_matrix(algebra, n, i):
     For surface-type algebras (top degree 4) the complement is (n, 4n - i);
     the one-point model pairs each piece with itself.  Returns
     (rows, row_basis, col_basis).  The form vanishes on pairs of pieces that
-    are not complementary, so this block is the whole story; within it, it
-    vanishes on monomials of different shapes (fock.inner_product), and such
-    entries are written 0 without pairing.
+    are not complementary, so this block is the whole story; each row is
+    read off its monomial's covector (fock.covector).
     """
     comp = 4 * n - i if algebra.top_degree == 4 else i
     rows_basis = fock.monomial_basis(n, algebra, degree_filter=i)
     cols_basis = fock.monomial_basis(n, algebra, degree_filter=comp)
-    col_shapes = [fock.shape(b) for b in cols_basis]
-    rows = []
-    for a in rows_basis:
-        sa = fock.shape(a)
-        rows.append([fock._pair_mono(a, {b: 1}, algebra) if sb == sa else 0
-                     for b, sb in zip(cols_basis, col_shapes)])
+    covectors = [fock.covector(algebra, a) for a in rows_basis]
+    rows = [[cov.get(b, 0) for b in cols_basis] for cov in covectors]
     return rows, rows_basis, cols_basis
 
 
@@ -424,12 +424,13 @@ def adjoint_matrix(f, source):
         raise SingularGram(f"pieces ({tn},{ti}) are not dual-dimensional")
     if not target_basis:
         return [[] for _ in source_basis], source_basis, target_basis
-    f_of_a = [f(FockVector(algebra, {a: 1})) for a in test_basis]
+    # (f(a), b) over all b for each test monomial a: f(a)'s covectors summed
+    pairs = [{} for _ in test_basis]
+    for a, acc in zip(test_basis, pairs):
+        for t, c in f(FockVector(algebra, {a: 1})).terms.items():
+            axpy(acc, fock.covector(algebra, t), c)
     sign = -1 if (m & 1) and ((4 * tn - ti) & 1) else 1
-    rhs_cols = []
-    for b in source_basis:
-        vb = FockVector(algebra, {b: 1})
-        rhs_cols.append([sign * fock.inner_product(img, vb) for img in f_of_a])
+    rhs_cols = [[sign * row.get(b, 0) for row in pairs] for b in source_basis]
     sol = _linalg.solve(gram, rhs_cols)
     if sol is None:
         raise SingularGram(f"Gram matrix on piece ({tn},{ti}) is singular")

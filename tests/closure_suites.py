@@ -19,10 +19,13 @@ keeps what they replaced, as sn_enumeration.py keeps the enumerated S_n rows:
   supercommutator, virasoro, reference_q and derivative maps, and for the expansion
   suite one commutator_expand call per monomial, in the suite's instance
   order, through the same check driver;
-- reference_inner_product, reference_gram_matrix and reference_adjoint_matrix:
-  the bilinear form paired shape-blind, every term of the left vector against
-  every term of the right, where the engine pairs each term with the right
-  terms of its own shape only.
+- reference_pair_mono, reference_inner_product, reference_gram_matrix and
+  reference_adjoint_matrix: the bilinear form paired shape-blind, by turning
+  each creation of the left monomial into an annihilation applied to every
+  term of the right vector through fock.contract_into, where the engine reads
+  each pairing off a memoized covector (fock.covector) built by creation;
+  the adjoint solves the whole piece on these, independent of the engine's
+  gram_matrix and inner_product.
 
 They read the kernels and `mul` through the fockcalc modules at call time, so
 a mutant patched there acts on the reference as it acts on the engine.
@@ -32,11 +35,11 @@ import itertools
 import json
 import math
 from typing import NamedTuple
-from unittest import mock
 
 from fockcalc import fock, generators, load_algebra, operators
-from fockcalc._linalg import axpy
+from fockcalc._linalg import axpy, solve
 from fockcalc._rat import ratio
+from fockcalc.errors import SingularGram
 from fockcalc.generators import q1_kth_bracket
 from fockcalc.operators import (
     LinearOperator,
@@ -123,13 +126,32 @@ def fresh_algebra(name, integral_scale=1):
     return load_algebra(doc)
 
 
+def reference_pair_mono(mono, right_terms, alg):
+    """<mono, v> for v the {mono: c} terms right_terms: the leading factor
+    q_n(c) of mono moves across as (-1)^(n + m * deg rest) q_{-n}(c), with m
+    its operator degree, applied to v by fock.contract_into, and the rest of
+    mono pairs with that by recursion."""
+    if not right_terms:
+        return 0
+    if not mono:
+        return right_terms.get((), 0)
+    size, color = mono[0]
+    rest = mono[1:]
+    m_deg = 2 * (size - 1) + alg.degrees[color]
+    sign_exp = size + m_deg * fock.degree(rest, alg)
+    acc = {}
+    fock.contract_into(acc, size, color, right_terms, 1, alg)
+    val = reference_pair_mono(rest, acc, alg)
+    return -val if sign_exp & 1 else val
+
+
 def reference_inner_product(u, v):
     """The bilinear form with each term of u paired against all of v."""
     if u.algebra is not v.algebra:
         raise ValueError("vectors over different algebras")
     total = 0
     for mono, cu in u.terms.items():
-        total += cu * fock._pair_mono(mono, v.terms, u.algebra)
+        total += cu * reference_pair_mono(mono, v.terms, u.algebra)
     return total
 
 
@@ -145,11 +167,32 @@ def reference_gram_matrix(algebra, n, i):
 
 
 def reference_adjoint_matrix(f, source):
-    """operators.adjoint_matrix with its Gram matrix and its pairings taken
-    from reference_gram_matrix and reference_inner_product."""
-    with mock.patch.object(fock, "inner_product", reference_inner_product), \
-            mock.patch.object(operators, "gram_matrix", reference_gram_matrix):
-        return operators.adjoint_matrix(f, source)
+    """operators.adjoint_matrix solved on the whole piece as the engine does,
+    with its Gram matrix from reference_gram_matrix and each right side entry
+    one reference_inner_product of f(a), a a test monomial, with a source
+    monomial."""
+    algebra = f.algebra
+    if algebra.top_degree != 4:
+        raise SingularGram("adjoint matrices need a surface-type algebra")
+    n, i = source
+    shift, m = f.bidegree()
+    source_basis = fock.monomial_basis(n, algebra, degree_filter=i)
+    tn, ti = n - shift, i + m - 4 * shift
+    if tn < 0:
+        return [[] for _ in source_basis], source_basis, []
+    gram, test_basis, target_basis = reference_gram_matrix(algebra, tn, 4 * tn - ti)
+    if len(test_basis) != len(target_basis):
+        raise SingularGram(f"pieces ({tn},{ti}) are not dual-dimensional")
+    if not target_basis:
+        return [[] for _ in source_basis], source_basis, target_basis
+    f_of_a = [f(fock.FockVector(algebra, {a: 1})) for a in test_basis]
+    sign = -1 if (m & 1) and ((4 * tn - ti) & 1) else 1
+    rhs_cols = [[sign * reference_inner_product(img, fock.FockVector(algebra, {b: 1}))
+                 for img in f_of_a] for b in source_basis]
+    sol = solve(gram, rhs_cols)
+    if sol is None:
+        raise SingularGram(f"Gram matrix on piece ({tn},{ti}) is singular")
+    return sol, source_basis, target_basis
 
 
 class Instance(NamedTuple):

@@ -114,7 +114,7 @@ def test_criterion_3_boundary_self_adjoint():
     # (d u, v) = (u, d v) on every complementary pair of bigraded pieces,
     # which with nondegeneracy is exactly self-adjointness
     total = 0
-    for name, top in (("p2", 5), ("p1xp1", 5), ("torus_like", 2)):
+    for name, top in (("p2", 5), ("p1xp1", 5), ("torus_like", 3)):
         alg = load_preset(name)
         d = boundary_d(alg)
         for n in range(1, top + 1):
@@ -137,7 +137,7 @@ def test_criterion_3_boundary_self_adjoint():
         mat, src, tgt = adjoint_matrix(d, piece)
         assert mat == operator_matrix(d, src, tgt), piece
     passline(3, f"d self-adjoint: {total} pairing checks on all pieces "
-                f"(p2/p1xp1 to weight 5, torus to 2) + matrix equality on p2")
+                f"(p2/p1xp1 to weight 5, torus to 3) + matrix equality on p2")
 
 
 # -- 4. the generic expansion lemma ---------------------------------------------------

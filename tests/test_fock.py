@@ -277,17 +277,18 @@ def test_gram_nondegenerate_low_weight(p2, torus, point):
 
 # -- the pairing against its shape-blind reference ----------------------------------
 
-# case: (preset, integral scale, class of q_n, top weight); the class on
-# torus_like is odd, and the scaled p2 has integral h2 = 2/3
-PAIRING_CASES = {"p2": ("p2", 1, "h", 4), "p1xp1": ("p1xp1", 1, "f", 4),
-                 "torus_like": ("torus_like", 1, "x1", 3),
-                 "p2 h2 = 2/3": ("p2", Rat(2, 3), "h", 4)}
+# case: (preset, integral scale, class of q_n, top weight, top weight of the
+# q_{-2} adjoints' targets); the class on torus_like is odd, and the scaled
+# p2 has integral h2 = 2/3
+PAIRING_CASES = {"p2": ("p2", 1, "h", 4, 5), "p1xp1": ("p1xp1", 1, "f", 4, 5),
+                 "torus_like": ("torus_like", 1, "x1", 3, 3),
+                 "p2 h2 = 2/3": ("p2", Rat(2, 3), "h", 4, 5)}
 
 
 @functools.lru_cache(maxsize=None)
 def pairing_algebra(case):
     from closure_suites import fresh_algebra
-    name, scale, _, _ = PAIRING_CASES[case]
+    name, scale, _, _, _ = PAIRING_CASES[case]
     return fresh_algebra(name, scale)
 
 
@@ -321,14 +322,15 @@ def test_inner_product_matches_the_shape_blind_reference(case, data):
 def test_gram_and_adjoint_match_the_shape_blind_reference(case):
     from closure_suites import reference_adjoint_matrix, reference_gram_matrix
     alg = pairing_algebra(case)
-    _, _, gamma, top = PAIRING_CASES[case]
+    _, _, gamma, top, q_minus_2_top = PAIRING_CASES[case]
     ops = [boundary_d(alg)] + [q(k, alg.basis_element(gamma)) for k in (1, -1, 2, -2)]
     for n in range(top + 1):
         for i in range(4 * n + 1):
             assert gram_matrix(alg, n, i) == reference_gram_matrix(alg, n, i), (n, i)
-            # every source piece whose target is at most the top weight too
+            # every source piece whose target is at most the top weight too,
+            # and for q_{-2} at most its own top
             for f in ops:
-                if n - f.bidegree()[0] <= top:
+                if n - f.bidegree()[0] <= (q_minus_2_top if f is ops[-1] else top):
                     assert adjoint_matrix(f, (n, i)) == reference_adjoint_matrix(f, (n, i)), \
                         (f, n, i)
 
@@ -364,6 +366,22 @@ def test_truncation_guard_at_the_cap(p2, torus):
                 assert sum(s for s, _ in prepend_part(mono, room, c, alg)[0]) == 6
             with pytest.raises(TruncationExceeded):
                 prepend_part(mono, room + 1, c, alg)
+    finally:
+        set_max_weight(prev)
+
+
+def test_pairing_above_the_cap_matches_the_reference():
+    # a covector has the weight of its monomial and pairing never climbs past
+    # it, so weight-3 pieces pair under a cap of 2 as the reference does
+    from closure_suites import fresh_algebra, reference_gram_matrix, reference_inner_product
+    alg = fresh_algebra("p2")
+    prev = set_max_weight(2)
+    try:
+        for i in range(13):
+            assert gram_matrix(alg, 3, i) == reference_gram_matrix(alg, 3, i), i
+            u, v = (FockVector(alg, {m: k + 1 for k, m in enumerate(
+                monomial_basis(3, alg, degree_filter=j))}) for j in (i, 12 - i))
+            assert inner_product(u, v) == reference_inner_product(u, v), i
     finally:
         set_max_weight(prev)
 
